@@ -48,6 +48,7 @@ from .shapley_folkman import (
     lnat_round,
     local_restrictions,
     mnat_round,
+    round_point,
     sf_decompose,
     sf_round_l2,
     sf_round_linf,
@@ -93,6 +94,7 @@ __all__ = [
     "minkowski_sum",
     "mnat_round",
     "mnat_violation",
+    "round_point",
     "sf_decompose",
     "sf_round_l2",
     "sf_round_linf",

@@ -1,10 +1,12 @@
 """Exact integer pivoting kernels, pure Python edition.
 
-These three routines are the hot inner loops of the whole package: every
-hull-membership certificate, Caratheodory reduction and cell-vertex
-enumeration bottoms out here.  All arithmetic is on Python integers, so
-results are exact at any magnitude.  ``latround._kernel`` swaps in the
-compiled twin (``_speedups``) when it is available; both implementations
+These three routines are the hot inner loops of the whole package and,
+apart from the independent oracles, its only exact elimination: every
+hull-membership certificate, Caratheodory reduction, cell-vertex
+enumeration, and every rank test and null-space basis of ``hull_facets``
+bottoms out here.  All arithmetic is on Python integers, so results are
+exact at any magnitude.  ``latround._kernel`` swaps in the compiled twin
+(``_speedups``) when it is available; both implementations
 must stay behaviourally identical, including tie-breaking.
 """
 

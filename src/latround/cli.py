@@ -19,7 +19,7 @@ import re
 import sys
 from fractions import Fraction
 
-from .bounds import bound_pair, bounds_table
+from .bounds import bounds_table
 from .discrete_sets import (
     LatticeSet,
     find_hole,
@@ -30,12 +30,12 @@ from .discrete_sets import (
 from .errors import BudgetError, DomainError, UsageError
 from .exact_geometry import RationalPoint
 from .minkowski import find_holes, minkowski_sum
-from .shapley_folkman import lnat_round, mnat_round, sf_round_l2, sf_round_linf
+from .shapley_folkman import round_point
 from .verify import run_suites
 
 __all__ = ["main"]
 
-_RATIONAL_RE = re.compile(r"^[+-]?\d+(/\d+)?$")
+_RATIONAL_RE = re.compile(r"^[+-]?\d+(/\d*[1-9]\d*)?$")
 
 
 def load_set_file(path: str) -> LatticeSet:
@@ -50,7 +50,7 @@ def load_set_file(path: str) -> LatticeSet:
         raise UsageError(f"{path}: expected an object with 'dim' and 'points'")
     dim = data["dim"]
     points = data["points"]
-    if not isinstance(dim, int) or not isinstance(points, list):
+    if not isinstance(dim, int) or isinstance(dim, bool) or not isinstance(points, list):
         raise UsageError(f"{path}: 'dim' must be an integer and 'points' a list")
     for p in points:
         if (
@@ -78,8 +78,8 @@ def parse_query_point(text: str) -> RationalPoint:
     for part in parts:
         if not _RATIONAL_RE.match(part):
             raise UsageError(
-                f"bad coordinate {part!r}: expected an integer or 'p/q' "
-                "(floating point literals are rejected)"
+                f"bad coordinate {part!r}: expected an integer or 'p/q' with "
+                "q > 0 (floating point literals are rejected)"
             )
         coords.append(Fraction(part))
     return RationalPoint(coords)
@@ -124,19 +124,7 @@ def cmd_sum(args) -> int:
 def cmd_round(args) -> int:
     sets = [load_set_file(path) for path in args.files]
     x = parse_query_point(args.x)
-    verify = not args.trust
-    if args.cls == "mnat":
-        result = mnat_round(sets, x, verify=verify)
-    elif args.cls == "lnat":
-        result = lnat_round(sets, x, norm=args.norm, verify=verify)
-    elif args.norm == "linf":
-        result = sf_round_linf(sets, x, verify=verify)
-    elif args.norm == "l2":
-        result = sf_round_l2(sets, x, verify=verify)
-    else:
-        a = sf_round_linf(sets, x, verify=verify)
-        b = sf_round_l2(sets, x, verify=False)
-        result = a if a.distance_linf <= b.distance_linf else b
+    result = round_point(sets, x, cls=args.cls, norm=args.norm, verify=not args.trust)
     print(f"x = {result.x}")
     print(f"z = {tuple(result.z)}")
     print(
@@ -214,7 +202,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_round = sub.add_parser("round", help="round a hull point to a sum point")
     p_round.add_argument("files", nargs="+")
     p_round.add_argument("--x", required=True, help="query point, e.g. '1/2,3/4'")
-    p_round.add_argument("--norm", default="linf", choices=["linf", "l2", "best"])
+    p_round.add_argument(
+        "--norm",
+        default="linf",
+        choices=["linf", "l2", "best"],
+        help="linf: within alpha(n, m); l2: within beta(n, m); best: the nearer "
+        "of the two in the max norm, within min(alpha, beta). The mnat class "
+        "takes only linf",
+    )
     p_round.add_argument("--class", dest="cls", default="ic", choices=["ic", "mnat", "lnat"])
     p_round.add_argument(
         "--trust",

@@ -1,16 +1,20 @@
 """Exact rational convex geometry.
 
 Hull membership with verified certificates, Caratheodory support
-reduction, and nonnegative linear feasibility.  Scalars are
+reduction, nonnegative linear feasibility and hull facets.  Scalars are
 ``fractions.Fraction`` throughout; no floating point enters any
 certified path.
+
+This module does no elimination of its own: feasibility, null vectors,
+rank tests and null-space bases all go through the integer kernel
+(``latround._kernel``).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations
-from math import lcm
+from math import gcd, lcm
 from typing import Iterable, Optional, Sequence
 
 from . import _kernel
@@ -250,19 +254,22 @@ def solve_linear_feasibility(matrix, rhs) -> Optional[list]:
     return lam
 
 
-def _membership_support(points: list, x: RationalPoint):
-    """Support of a basic convex combination of ``points`` hitting x, or None."""
-    n = x.dim
+def _membership_lp(points: list, x: RationalPoint):
+    """Run the kernel LP for ``points @ lam = x``, ``sum(lam) = 1``,
+    ``lam >= 0``, with each coordinate row scaled to integers."""
     rows = []
     rhs = []
-    for i in range(n):
-        xi = x.coords[i]
-        d = xi.denominator
-        rows.append([p[i] * d for p in points])
+    for i, xi in enumerate(x.coords):
+        rows.append([p[i] * xi.denominator for p in points])
         rhs.append(xi.numerator)
     rows.append([1] * len(points))
     rhs.append(1)
-    status, payload = _kernel.lp_feasible(rows, rhs)
+    return _kernel.lp_feasible(rows, rhs)
+
+
+def _membership_support(points: list, x: RationalPoint):
+    """Support of a basic convex combination of ``points`` hitting x, or None."""
+    status, payload = _membership_lp(points, x)
     if status != "feasible":
         return None
     return [(points[col], Fraction(num, den)) for col, num, den in payload]
@@ -305,18 +312,7 @@ def infeasibility_gap(points, x) -> Optional[Fraction]:
     minimum total artificial mass needed to satisfy the membership
     system, and it is zero exactly on hull members.
     """
-    pts = _point_list(points)
-    x = RationalPoint(x)
-    n = x.dim
-    rows = []
-    rhs = []
-    for i in range(n):
-        d = x.coords[i].denominator
-        rows.append([p[i] * d for p in pts])
-        rhs.append(x.coords[i].numerator)
-    rows.append([1] * len(pts))
-    rhs.append(1)
-    status, payload = _kernel.lp_feasible(rows, rhs)
+    status, payload = _membership_lp(_point_list(points), RationalPoint(x))
     if status == "feasible":
         return None
     num, den = payload
@@ -400,69 +396,48 @@ def hull_vertices(points) -> list:
     return out
 
 
-def _independent_directions(pts: list) -> list:
-    """A maximal linearly independent subset of {p - pts[0]}."""
-    base = pts[0]
+def _transpose(matrix: list) -> list:
+    return [list(col) for col in zip(*matrix)]
+
+
+def _independent_columns(columns: list) -> list:
+    """Indices of the first maximal linearly independent subset of the
+    integer vectors ``columns``, picked greedily in order by the kernel."""
     chosen = []
-    echelon = []
-    for p in pts[1:]:
-        d = [a - b for a, b in zip(p, base)]
-        vec = list(d)
-        for row in echelon:
-            lead = next(i for i, v in enumerate(row) if v)
-            if vec[lead]:
-                f = vec[lead]
-                piv = row[lead]
-                vec = [piv * a - f * b for a, b in zip(vec, row)]
-        if any(vec):
-            chosen.append(d)
-            echelon.append(vec)
-            echelon.sort(key=lambda r: next(i for i, v in enumerate(r) if v))
+    for j, col in enumerate(columns):
+        if len(chosen) == len(col):
+            break
+        trial = [columns[i] for i in chosen] + [col]
+        if _kernel.nullspace_vector(_transpose(trial)) is None:
+            chosen.append(j)
     return chosen
 
 
 def _nullspace_basis(rows: list, width: int) -> list:
-    """Integer basis of {h : rows @ h = 0} via exact Gauss-Jordan."""
+    """Integer basis of {h : rows @ h = 0}: per free column, the kernel's
+    primitive vector over the pivot columns plus that one, made positive
+    at the free column."""
     if not rows:
-        basis = []
-        for i in range(width):
-            e = [0] * width
-            e[i] = 1
-            basis.append(e)
-        return basis
-    mat = [[Fraction(v) for v in r] for r in rows]
-    pivots = []
-    nextrow = 0
-    for c in range(width):
-        pr = next((r for r in range(nextrow, len(mat)) if mat[r][c]), None)
-        if pr is None:
-            continue
-        mat[pr], mat[nextrow] = mat[nextrow], mat[pr]
-        piv = mat[nextrow][c]
-        mat[nextrow] = [v / piv for v in mat[nextrow]]
-        for r in range(len(mat)):
-            if r != nextrow and mat[r][c]:
-                f = mat[r][c]
-                mat[r] = [a - f * b for a, b in zip(mat[r], mat[nextrow])]
-        pivots.append(c)
-        nextrow += 1
-    free = [c for c in range(width) if c not in pivots]
+        return [[int(i == j) for j in range(width)] for i in range(width)]
+    columns = _transpose(rows)
+    pivots = _independent_columns(columns)
     basis = []
-    for fc in free:
-        v = [Fraction(0)] * width
-        v[fc] = Fraction(1)
-        for r, pc in enumerate(pivots):
-            v[pc] = -mat[r][fc]
-        scale = lcm(*(x.denominator for x in v))
-        basis.append([int(x * scale) for x in v])
+    for free in range(width):
+        if free in pivots:
+            continue
+        cols = sorted(pivots + [free])
+        v = _kernel.nullspace_vector(_transpose([columns[c] for c in cols]))
+        sign = 1 if v[cols.index(free)] > 0 else -1
+        h = [0] * width
+        for c, coef in zip(cols, v):
+            h[c] = sign * coef
+        basis.append(h)
     return basis
 
 
 def _primitive_pair(vec: list, c: int):
     """Divide (h, c) by gcd(h); c stays integral because h . x = c holds
     at a lattice point."""
-    from math import gcd
-
     g = 0
     for v in vec:
         g = gcd(g, v)
@@ -482,7 +457,8 @@ def hull_facets(points):
     pts = _point_list(points)
     n = len(pts[0])
     base = pts[0]
-    dirs = _independent_directions(pts)
+    offsets = [[a - b for a, b in zip(p, base)] for p in pts[1:]]
+    dirs = [offsets[j] for j in _independent_columns(offsets)]
     d = len(dirs)
     equalities = []
     for h in _nullspace_basis(dirs, n):
@@ -499,11 +475,11 @@ def hull_facets(points):
             coeffs = [1]
         else:
             gram = [[sum(a * b for a, b in zip(diff, v)) for v in dirs] for diff in diffs]
-            if _rank(gram) != d - 1:
+            # skip teams whose differences are dependent: their hyperplane
+            # through the team is not unique
+            if _kernel.nullspace_vector(_transpose(gram)) is not None:
                 continue
             coeffs = _kernel.nullspace_vector(gram)
-            if coeffs is None:
-                continue
         h = [0] * n
         for coef, v in zip(coeffs, dirs):
             if coef:
@@ -529,20 +505,3 @@ def hull_facets(points):
         inequalities.add(_primitive_pair(h, c))
     return equalities, sorted(inequalities)
 
-
-def _rank(rows: list) -> int:
-    mat = [[Fraction(v) for v in r] for r in rows]
-    rank = 0
-    width = len(mat[0]) if mat else 0
-    for c in range(width):
-        pr = next((r for r in range(rank, len(mat)) if mat[r][c]), None)
-        if pr is None:
-            continue
-        mat[pr], mat[rank] = mat[rank], mat[pr]
-        piv = mat[rank][c]
-        for r in range(rank + 1, len(mat)):
-            if mat[r][c]:
-                f = mat[r][c] / piv
-                mat[r] = [a - f * b for a, b in zip(mat[r], mat[rank])]
-        rank += 1
-    return rank

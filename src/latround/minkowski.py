@@ -18,12 +18,15 @@ __all__ = ["WitnessedSum", "minkowski_sum", "find_holes", "DEFAULT_BUDGET"]
 def enumeration_budget() -> int:
     """Tuple budget for sum enumeration; LATROUND_BUDGET overrides it."""
     raw = os.environ.get("LATROUND_BUDGET")
-    if raw:
-        try:
-            return int(raw)
-        except ValueError as exc:
-            raise UsageError(f"LATROUND_BUDGET must be an integer, got {raw!r}") from exc
-    return DEFAULT_BUDGET
+    if not raw:
+        return DEFAULT_BUDGET
+    try:
+        budget = int(raw)
+    except ValueError:
+        budget = 0
+    if budget < 1:
+        raise UsageError(f"LATROUND_BUDGET must be a positive integer, got {raw!r}")
+    return budget
 
 
 class WitnessedSum:

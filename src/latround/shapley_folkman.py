@@ -6,7 +6,9 @@ distance bounds: alpha(n, m) in the max norm, beta(n, m) in the
 Euclidean norm, 1 - 1/n for exchange-convex summands, and the halved
 summand count for midpoint-convex summands.  Every step carries an
 exact certificate and every claimed bound is asserted before a result
-is returned.
+is returned.  ``round_point`` is the one dispatcher over summand class
+and norm; ``sf_round_linf``, ``sf_round_l2``, ``mnat_round`` and
+``lnat_round`` are named entry points into it.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .bounds import bound_pair, floor_sqrt
+from .bounds import bound_pair
 from .discrete_sets import (
     LatticeSet,
     integral_convexity_witness,
@@ -45,6 +47,7 @@ __all__ = [
     "sf_round_l2",
     "mnat_round",
     "lnat_round",
+    "round_point",
 ]
 
 
@@ -295,15 +298,11 @@ def cube_round(s: LatticeSet, x, cert: ConvexCombination) -> tuple:
     return best
 
 
-def _verify_summands(sets, witness_fn, label):
-    for i, s in enumerate(sets):
-        bad = witness_fn(s)
-        if bad is not None:
-            raise DomainError(f"summand {i} is not {label}: witness {bad}", witness=bad)
+_CLASS_LABELS = {"ic": "integrally convex", "mnat": "exchange-convex", "lnat": "midpoint-convex"}
+_NORMS = ("linf", "l2", "best")
 
 
 def _check_sets(sets) -> int:
-    sets = list(sets)
     if not sets:
         raise UsageError("need at least one summand")
     for s in sets:
@@ -331,33 +330,124 @@ def _outside_hull(w: WitnessedSum, x: RationalPoint) -> DomainError:
     )
 
 
-def sf_round_linf(sets: Sequence[LatticeSet], x, verify: bool = True) -> RoundingResult:
-    """Round x in conv(W) to z in W with max-norm distance at most
-    alpha(n, m); at most min(n, m) - 1 when x is integral.
+def round_point(
+    sets: Sequence[LatticeSet], x, cls: str = "ic", norm: str = "linf", verify: bool = True
+) -> RoundingResult:
+    """Round x in conv(W), W the sum of ``sets``, to a point z of W.
 
-    The pipeline: split x over the summand hulls, clip each summand to
-    the integral neighborhood of its share, pivot to a basic
-    decomposition, and cube-round the at most min(n, m) fractional
-    shares.  ``verify=False`` skips the integral convexity check of the
-    summands and trusts the caller.
+    ``cls`` names the summand class and picks the theorem:
+
+    - "ic", integrally convex: max-norm distance at most alpha(n, m),
+      and at most min(n, m) - 1 for integral x; squared Euclidean
+      distance at most beta(n, m)^2.
+    - "mnat", exchange-convex: max-norm distance at most 1 - 1/n.  Only
+      ``norm="linf"`` is supported.
+    - "lnat", midpoint-convex: summands are paired (1,2), (3,4), ...;
+      the pair sums are integrally convex, so the "ic" bounds hold with
+      m' = ceil(m/2) in place of m.
+
+    ``norm`` picks the pipeline: "linf" cube-rounds the fractional
+    shares of a basic decomposition; "l2" scans the sum of the clipped
+    summands for the nearest point; "best" runs both on one sum and
+    keeps the nearer point in the max norm, which is within
+    min(alpha, beta).  Every norm but ic/l2 needs dimension at least 2.
+    ``verify=False`` skips the class check of the summands and trusts
+    the caller.  The result is tagged "mnat" or "<cls>-<norm>".
     """
+    if cls not in _CLASS_LABELS:
+        raise UsageError(f"unknown class {cls!r}")
+    if norm not in _NORMS:
+        raise UsageError(f"unknown norm {norm!r}")
+    if cls == "mnat" and norm != "linf":
+        raise UsageError(f"exchange-convex rounding supports only the linf norm, not {norm!r}")
     sets = list(sets)
     n = _check_sets(sets)
-    if n < 2:
-        raise UsageError("the max-norm pipeline needs dimension at least 2")
+    if n < 2 and (cls, norm) != ("ic", "l2"):
+        raise UsageError(f"{cls} {norm} rounding needs dimension at least 2")
     x = RationalPoint(x)
     if x.dim != n:
         raise UsageError("dimension mismatch between x and the summands")
     if verify:
-        _verify_summands(sets, integral_convexity_witness, "integrally convex")
+        # resolved per call, so that wrappers on these module names (the
+        # traced bench run installs some) see the calls
+        witness_fn = {
+            "ic": integral_convexity_witness,
+            "mnat": mnat_violation,
+            "lnat": lnat_violation,
+        }[cls]
+        for i, s in enumerate(sets):
+            bad = witness_fn(s)
+            if bad is not None:
+                raise DomainError(
+                    f"summand {i} is not {_CLASS_LABELS[cls]}: witness {bad}", witness=bad
+                )
+    if cls == "mnat":
+        return _round_mnat(sets, x, verify)
+    if cls == "lnat":
+        sets = _pair_sums(sets, verify)
+    return _round_ic(sets, x, norm, f"{cls}-{norm}")
+
+
+def _pair_sums(sets: list, verify: bool) -> list:
+    """Sums of the consecutive pairs of midpoint-convex summands, each
+    checked to be integrally convex."""
+    effective = [
+        minkowski_sum(sets[i : i + 2]).result if i + 1 < len(sets) else sets[i]
+        for i in range(0, len(sets), 2)
+    ]
+    for i, s in enumerate(effective):
+        bad = integral_convexity_witness(s)
+        if bad is not None:
+            if verify:
+                raise InternalError(
+                    f"pair sum {i} of verified midpoint-convex sets is not "
+                    f"integrally convex at {bad}"
+                )
+            raise DomainError(
+                f"pair sum {i} is not integrally convex; summands were not verified",
+                witness=bad,
+            )
+    return effective
+
+
+def _round_ic(sets: list, x: RationalPoint, norm: str, tag: str) -> RoundingResult:
+    """The integrally convex pipelines on one witnessed sum."""
+    n = x.dim
     m = len(sets)
     pair = bound_pair(n, m)
+    integral = x.is_integral()
     w = minkowski_sum(sets)
-    shortcut = _integral_shortcut(w, x)
-    if shortcut is not None:
-        return RoundingResult(x, shortcut, "ic-linf", bound_linf=Fraction(min(n, m) - 1))
-    ys = decompose_into_summand_hulls(w, x)
-    locals_ = local_restrictions(sets, [y for y, _ in ys])
+    z = _integral_shortcut(w, x)
+    if z is None:
+        ys = decompose_into_summand_hulls(w, x)
+        locals_ = local_restrictions(sets, [y for y, _ in ys])
+        candidates = []
+        if norm != "l2":
+            candidates.append(_cube_round_shares(locals_, x))
+        if norm != "linf":
+            candidates.append(_nearest_clipped(locals_, x))
+        # min keeps the first of equally near candidates: linf before l2
+        z = min(candidates, key=lambda p: x.linf_distance(RationalPoint(p)))
+        if z not in w:
+            raise InternalError(f"rounded point {z} is not a sum point")
+    if norm == "linf":
+        bound = Fraction(min(n, m) - 1) if integral else pair.alpha
+        return RoundingResult(x, z, tag, bound_linf=bound)
+    if norm == "l2":
+        bound = Fraction(pair.floor_beta) if integral else None
+        return RoundingResult(x, z, tag, bound_l2_sq=pair.beta_sq, bound_linf=bound)
+    # the better of the two is within min(alpha, beta) in the max norm,
+    # i.e. within alpha and within beta at once; beta is irrational, so
+    # its half of the check compares squares
+    d = x.linf_distance(RationalPoint(z))
+    if d > pair.alpha or d * d > pair.beta_sq:
+        raise InternalError(f"combined distance {d} violates the bound")
+    bound = Fraction(min(pair.floor_alpha, pair.floor_beta)) if integral else pair.alpha
+    return RoundingResult(x, z, tag, bound_linf=bound)
+
+
+def _cube_round_shares(locals_: list, x: RationalPoint) -> tuple:
+    """Pivot to a basic decomposition and cube-round its fractional shares."""
     dec = sf_decompose([t for t, _ in locals_], x, [c for _, c in locals_])
     parts = []
     for i, (t, _) in enumerate(locals_):
@@ -366,44 +456,12 @@ def sf_round_linf(sets: Sequence[LatticeSet], x, verify: bool = True) -> Roundin
         else:
             comb = dec.fractional[i]
             parts.append(cube_round(t, comb.target, comb))
-    z = tuple(sum(c) for c in zip(*parts))
-    if z not in w:
-        raise InternalError(f"rounded point {z} is not a sum point")
-    bound = Fraction(min(n, m) - 1) if x.is_integral() else pair.alpha
-    return RoundingResult(x, z, "ic-linf", bound_linf=bound)
+    return tuple(sum(c) for c in zip(*parts))
 
 
-def sf_round_l2(sets: Sequence[LatticeSet], x, verify: bool = True) -> RoundingResult:
-    """Round x in conv(W) to the nearest point of the clipped sum in the
-    Euclidean norm; the squared distance is at most beta(n, m)^2.
-
-    The local restrictions T_i of the summands are summed exhaustively
-    and scanned for the exact nearest point, which the Euclidean bound
-    guarantees to be within beta(n, m).  For integral x the max-norm
-    distance is additionally at most floor(beta(n, m)).
-    """
-    sets = list(sets)
-    n = _check_sets(sets)
-    x = RationalPoint(x)
-    if x.dim != n:
-        raise UsageError("dimension mismatch between x and the summands")
-    if verify:
-        _verify_summands(sets, integral_convexity_witness, "integrally convex")
-    m = len(sets)
-    pair = bound_pair(n, m)
-    w = minkowski_sum(sets)
-    integral = x.is_integral()
-    shortcut = _integral_shortcut(w, x)
-    if shortcut is not None:
-        return RoundingResult(
-            x,
-            shortcut,
-            "ic-l2",
-            bound_l2_sq=pair.beta_sq,
-            bound_linf=Fraction(pair.floor_beta),
-        )
-    ys = decompose_into_summand_hulls(w, x)
-    locals_ = local_restrictions(sets, [y for y, _ in ys])
+def _nearest_clipped(locals_: list, x: RationalPoint) -> tuple:
+    """Lexicographically least nearest point of the clipped sum in the
+    Euclidean norm."""
     clipped = minkowski_sum([t for t, _ in locals_])
     best = None
     best_d = None
@@ -411,34 +469,16 @@ def sf_round_l2(sets: Sequence[LatticeSet], x, verify: bool = True) -> RoundingR
         d = x.l2sq_distance(RationalPoint(p))
         if best_d is None or d < best_d:
             best, best_d = p, d
-    if best not in w:
-        raise InternalError(f"nearest clipped point {best} is not a sum point")
-    return RoundingResult(
-        x,
-        best,
-        "ic-l2",
-        bound_l2_sq=pair.beta_sq,
-        bound_linf=Fraction(pair.floor_beta) if integral else None,
-    )
+    return best
 
 
-def mnat_round(sets: Sequence[LatticeSet], x, verify: bool = True) -> RoundingResult:
-    """Round over exchange-convex summands: distance at most 1 - 1/n.
-
-    The sum of exchange-convex sets is again exchange-convex, hence
-    integrally convex, so the whole sum can be treated as one summand:
+def _round_mnat(sets: list, x: RationalPoint, verify: bool) -> RoundingResult:
+    """The sum of exchange-convex sets is again exchange-convex, hence
+    integrally convex, so the whole sum is treated as one summand:
     clip it to the integral neighborhood of x and cube-round there.
     Integral x short-circuits to itself because such sums are hole-free.
     """
-    sets = list(sets)
-    n = _check_sets(sets)
-    if n < 2:
-        raise UsageError("the exchange-convex pipeline needs dimension at least 2")
-    x = RationalPoint(x)
-    if x.dim != n:
-        raise UsageError("dimension mismatch between x and the summands")
-    if verify:
-        _verify_summands(sets, mnat_violation, "exchange-convex")
+    n = x.dim
     w = minkowski_sum(sets)
     bound = Fraction(n - 1, n)
     shortcut = _integral_shortcut(w, x)
@@ -464,65 +504,40 @@ def mnat_round(sets: Sequence[LatticeSet], x, verify: bool = True) -> RoundingRe
     return RoundingResult(x, z, "mnat", bound_linf=bound)
 
 
+def sf_round_linf(sets: Sequence[LatticeSet], x, verify: bool = True) -> RoundingResult:
+    """Round x in conv(W) to z in W with max-norm distance at most
+    alpha(n, m); at most min(n, m) - 1 when x is integral.
+
+    Split x over the summand hulls, clip each summand to the integral
+    neighborhood of its share, pivot to a basic decomposition, and
+    cube-round the at most min(n, m) fractional shares.  Same as
+    ``round_point(sets, x, "ic", "linf", verify)``.
+    """
+    return round_point(sets, x, "ic", "linf", verify)
+
+
+def sf_round_l2(sets: Sequence[LatticeSet], x, verify: bool = True) -> RoundingResult:
+    """Round x in conv(W) to the nearest point of the clipped sum in the
+    Euclidean norm; the squared distance is at most beta(n, m)^2, and
+    for integral x the max-norm distance is at most floor(beta(n, m)).
+    Same as ``round_point(sets, x, "ic", "l2", verify)``.
+    """
+    return round_point(sets, x, "ic", "l2", verify)
+
+
+def mnat_round(sets: Sequence[LatticeSet], x, verify: bool = True) -> RoundingResult:
+    """Round over exchange-convex summands: distance at most 1 - 1/n.
+    Same as ``round_point(sets, x, "mnat", "linf", verify)``.
+    """
+    return round_point(sets, x, "mnat", "linf", verify)
+
+
 def lnat_round(
     sets: Sequence[LatticeSet], x, norm: str = "best", verify: bool = True
 ) -> RoundingResult:
-    """Round over midpoint-convex summands by pairing them first.
-
-    Pairwise sums of midpoint-convex sets are integrally convex, so
-    summands are paired (1,2), (3,4), ... and the max-norm or Euclidean
-    pipeline runs with the halved count m' = ceil(m/2), improving the
-    bounds to alpha(n, m') and beta(n, m').  norm picks the delegate:
-    "linf", "l2", or "best" for the better of the two.
+    """Round over midpoint-convex summands by pairing them first, within
+    alpha(n, m') and beta(n, m') for m' = ceil(m/2); norm is "linf",
+    "l2", or "best" for the better of the two.  Same as
+    ``round_point(sets, x, "lnat", norm, verify)``.
     """
-    if norm not in ("linf", "l2", "best"):
-        raise UsageError(f"unknown norm {norm!r}")
-    sets = list(sets)
-    n = _check_sets(sets)
-    if n < 2:
-        raise UsageError("the midpoint-convex pipeline needs dimension at least 2")
-    x = RationalPoint(x)
-    if x.dim != n:
-        raise UsageError("dimension mismatch between x and the summands")
-    if verify:
-        _verify_summands(sets, lnat_violation, "midpoint-convex")
-    effective = []
-    for i in range(0, len(sets), 2):
-        if i + 1 < len(sets):
-            effective.append(minkowski_sum(sets[i : i + 2]).result)
-        else:
-            effective.append(sets[i])
-    for i, s in enumerate(effective):
-        bad = integral_convexity_witness(s)
-        if bad is not None:
-            if verify:
-                raise InternalError(
-                    f"pair sum {i} of verified midpoint-convex sets is not "
-                    f"integrally convex at {bad}"
-                )
-            raise DomainError(
-                f"pair sum {i} is not integrally convex; summands were not verified",
-                witness=bad,
-            )
-    m_eff = len(effective)
-    pair = bound_pair(n, m_eff)
-    integral = x.is_integral()
-    if norm == "linf":
-        got = sf_round_linf(effective, x, verify=False)
-        return RoundingResult(x, got.z, "lnat-linf", bound_linf=got.bound_linf)
-    if norm == "l2":
-        got = sf_round_l2(effective, x, verify=False)
-        return RoundingResult(
-            x, got.z, "lnat-l2", bound_l2_sq=got.bound_l2_sq, bound_linf=got.bound_linf
-        )
-    a = sf_round_linf(effective, x, verify=False)
-    b = sf_round_l2(effective, x, verify=False)
-    z = a.z if a.distance_linf <= b.distance_linf else b.z
-    # the better of the two is within min(alpha, beta) in the max norm,
-    # i.e. within alpha and within beta at once; beta is irrational, so
-    # its half of the check compares squares
-    d = min(a.distance_linf, b.distance_linf)
-    if d > pair.alpha or d * d > pair.beta_sq:
-        raise InternalError(f"combined distance {d} violates the paired bound")
-    bound_linf = Fraction(min(pair.floor_alpha, pair.floor_beta)) if integral else pair.alpha
-    return RoundingResult(x, z, "lnat-best", bound_linf=bound_linf)
+    return round_point(sets, x, "lnat", norm, verify)

@@ -21,6 +21,7 @@ from .discrete_sets import (
     is_mnat_convex,
     midpoint_criterion,
 )
+from .errors import UsageError
 from .exact_geometry import RationalPoint, hull_membership
 from .minkowski import minkowski_sum
 from .oracle import (
@@ -246,6 +247,8 @@ def run_bounds_suite() -> list:
 
 
 def run_suites(suite: str, seed: int = 42, instances: int = 200) -> list:
+    if instances < 1:
+        raise UsageError(f"the instance count must be positive, got {instances}")
     reports = []
     if suite in ("predicates", "all"):
         reports.extend(run_predicates_suite())

@@ -2,7 +2,9 @@ import json
 
 import pytest
 
+from latround import UsageError
 from latround.cli import main
+from latround.minkowski import enumeration_budget
 
 HOLE_S1 = {"dim": 2, "points": [[0, 0], [1, 1]]}
 HOLE_S2 = {"dim": 2, "points": [[1, 0], [0, 1]]}
@@ -84,6 +86,20 @@ def test_sum_budget_exit_code(hole_files, monkeypatch):
     assert main(["sum", *hole_files]) == 3
 
 
+@pytest.mark.parametrize("raw", ["-5", "0", "many"])
+def test_bad_budget_is_a_usage_error(hole_files, monkeypatch, raw):
+    monkeypatch.setenv("LATROUND_BUDGET", raw)
+    with pytest.raises(UsageError):
+        enumeration_budget()
+    assert main(["sum", *hole_files]) == 2
+
+
+def test_check_rejects_boolean_dim(tmp_path, capsys):
+    path = write(tmp_path, "b.json", {"dim": True, "points": [[1]]})
+    assert main(["check", path, "--class", "ic"]) == 2
+    assert "'dim' must be an integer" in capsys.readouterr().err
+
+
 def test_round_hole_point(hole_files, capsys):
     code = main(["round", *hole_files, "--x", "1,1", "--norm", "linf", "--class", "ic"])
     out = capsys.readouterr().out
@@ -128,11 +144,25 @@ def test_round_rejects_float_literal(hole_files, capsys):
     assert "floating point" in capsys.readouterr().err
 
 
+def test_round_rejects_zero_denominator(hole_files, capsys):
+    assert main(["round", *hole_files, "--x", "1/0,1", "--class", "ic"]) == 2
+    err = capsys.readouterr().err
+    assert "bad coordinate '1/0'" in err and "Traceback" not in err
+
+
 def test_round_rational_query(hole_files, capsys):
     code = main(["round", *hole_files, "--x", "3/2,1", "--class", "ic", "--norm", "best"])
     assert code == 0
     out = capsys.readouterr().out
     assert "z = " in out
+    assert "theorem = ic-best" in out
+
+
+@pytest.mark.parametrize("norm", ["l2", "best"])
+def test_round_mnat_rejects_other_norms(tmp_path, capsys, norm):
+    tri = write(tmp_path, "tri.json", {"dim": 2, "points": [[0, 0], [1, 0], [0, 1]]})
+    assert main(["round", tri, "--x", "1/2,1/4", "--class", "mnat", "--norm", norm]) == 2
+    assert "linf" in capsys.readouterr().err
 
 
 def test_round_trust_skips_verification(tmp_path, capsys):
@@ -182,6 +212,14 @@ def test_verify_rounding_small(capsys):
     assert main(["verify", "--suite", "rounding", "--seed", "3", "--instances", "25"]) == 0
     out = capsys.readouterr().out
     assert "[pass]" in out
+
+
+@pytest.mark.parametrize("count", ["0", "-1"])
+def test_verify_rejects_nonpositive_instances(capsys, count):
+    assert main(["verify", "--suite", "rounding", "--instances", count]) == 2
+    captured = capsys.readouterr()
+    assert "[pass]" not in captured.out
+    assert "instance count must be positive" in captured.err
 
 
 def test_round_output_deterministic(hole_files, capsys):

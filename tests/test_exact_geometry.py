@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -13,7 +14,7 @@ from latround import (
     solve_linear_feasibility,
 )
 from latround.exact_geometry import hull_facets, hull_vertices, infeasibility_gap
-from latround.oracle import oracle_membership
+from latround.oracle import _affinely_independent, oracle_membership
 
 HOLE_SUM = LatticeSet([(1, 0), (0, 1), (2, 1), (1, 2)])
 
@@ -184,3 +185,25 @@ def test_hull_facets_singleton():
     eqs, ineqs = hull_facets([(3, 5)])
     assert ineqs == []
     assert len(eqs) == 2
+
+
+def test_hull_facets_match_oracle_seeded():
+    rng = random.Random(97)
+    for _ in range(150):
+        n = rng.randint(1, 3)
+        pts = sorted({tuple(rng.randint(0, 3) for _ in range(n)) for _ in range(rng.randint(1, 7))})
+        eqs, ineqs = hull_facets(pts)
+
+        def holds(p):
+            dot = lambda h: sum(a * b for a, b in zip(h, p))
+            return all(dot(h) == c for h, c in eqs) and all(dot(h) <= c for h, c in ineqs)
+
+        assert all(holds(p) for p in pts)
+        s = LatticeSet(pts)
+        for p in product(*(range(lo, hi + 1) for lo, hi in s.bbox)):
+            assert holds(p) == oracle_membership(s, p)
+        team = [pts[0]]
+        for p in pts[1:]:
+            if _affinely_independent(team + [p]):
+                team.append(p)
+        assert len(eqs) == n - (len(team) - 1)

@@ -18,6 +18,7 @@ from latround import (
     local_restrictions,
     minkowski_sum,
     mnat_round,
+    round_point,
     sf_decompose,
     sf_round_l2,
     sf_round_linf,
@@ -355,6 +356,53 @@ def test_lnat_round_rejects_nonmidpoint():
 def test_lnat_round_unknown_norm(lnat_triple):
     with pytest.raises(UsageError):
         lnat_round(lnat_triple, (1, 1, 1), norm="l7")
+    with pytest.raises(UsageError):
+        round_point(lnat_triple, (1, 1, 1), cls="xyz")
+
+
+# -------------------------------------------------------------- round_point
+
+
+def _outcome(fn, *args, **kwargs):
+    try:
+        res = fn(*args, **kwargs)
+    except (DomainError, UsageError) as exc:
+        return type(exc), str(exc)
+    return res.z, res.theorem_tag, res.bound_linf, res.bound_l2_sq
+
+
+@pytest.mark.parametrize(
+    "fixture, xs",
+    [
+        ("hole_pair", [(1, 1), (2, 1), (Fraction(3, 2), 1), (Fraction(1, 3), Fraction(2, 3))]),
+        ("lnat_triple", [(1, 1, 1), (Fraction(1, 2), Fraction(1, 2), 1), (2, 2, 2)]),
+    ],
+)
+@pytest.mark.parametrize("verify", [True, False])
+def test_round_point_matches_named_pipelines(request, fixture, xs, verify):
+    sets = request.getfixturevalue(fixture)
+    for x in xs:
+        named = {
+            ("ic", "linf"): _outcome(sf_round_linf, sets, x, verify),
+            ("ic", "l2"): _outcome(sf_round_l2, sets, x, verify),
+            ("mnat", "linf"): _outcome(mnat_round, sets, x, verify),
+        }
+        for norm in ("linf", "l2", "best"):
+            named[("lnat", norm)] = _outcome(lnat_round, sets, x, norm, verify)
+        for (cls, norm), want in named.items():
+            assert _outcome(round_point, sets, x, cls, norm, verify) == want
+        # ic "best" keeps the nearer of the two ic pipelines and reports
+        # its bound the way lnat "best" does
+        a, b = named[("ic", "linf")], named[("ic", "l2")]
+        best = _outcome(round_point, sets, x, "ic", "best", verify)
+        if isinstance(a[0], type):
+            assert best == a
+            continue
+        xq = RationalPoint(x)
+        nearer = min((a, b), key=lambda r: xq.linf_distance(RationalPoint(r[0])))
+        pair = bound_pair(len(x), len(sets))
+        bound = min(pair.floor_alpha, pair.floor_beta) if xq.is_integral() else pair.alpha
+        assert best == (nearer[0], "ic-best", bound, None)
 
 
 # ------------------------------------------------------------ random suite
