@@ -27,7 +27,6 @@ from .discrete_sets import (
     is_lnat_convex,
     is_mnat_convex,
     lnat_violation,
-    midpoint_criterion,
     mnat_violation,
 )
 from .errors import BudgetError, DomainError, InternalError, UsageError
@@ -90,7 +89,6 @@ __all__ = [
     "lnat_round",
     "lnat_violation",
     "local_restrictions",
-    "midpoint_criterion",
     "minkowski_sum",
     "mnat_round",
     "mnat_violation",

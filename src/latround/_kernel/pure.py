@@ -2,11 +2,11 @@
 
 These three routines are the hot inner loops of the whole package and,
 apart from the independent oracles, its only exact elimination: every
-hull-membership certificate, Caratheodory reduction, cell-vertex
-enumeration, and every rank test and null-space basis of ``hull_facets``
-bottoms out here.  All arithmetic is on Python integers, so results are
-exact at any magnitude.  ``latround._kernel`` swaps in the compiled twin
-(``_speedups``) when it is available; both implementations
+hull-membership certificate (and so every integral-convexity verdict),
+Caratheodory reduction, and every rank test and null-space basis of
+``hull_facets`` bottoms out here.  All arithmetic is on Python integers,
+so results are exact at any magnitude.  ``latround._kernel`` swaps in the
+compiled twin (``_speedups``) when it is available; both implementations
 must stay behaviourally identical, including tie-breaking.
 """
 

@@ -165,15 +165,18 @@ def cmd_bounds(args) -> int:
 
 def cmd_verify(args) -> int:
     reports = run_suites(args.suite, seed=args.seed, instances=args.instances)
-    failed = False
     for rep in reports:
-        status = "pass" if rep.passed else "FAIL"
+        if rep.failures:
+            status = "FAIL"
+        elif rep.passed:
+            status = "pass"
+        else:
+            status = "none"  # nothing was checked, which is not a pass
         line = f"[{status}] {rep.name}: {rep.checked} checked"
         if rep.failures:
-            failed = True
             line += f", {len(rep.failures)} failures, first at {rep.failures[0]}"
         print(line)
-    return 1 if failed else 0
+    return 0 if all(rep.passed for rep in reports) else 1
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -3,22 +3,20 @@
 A LatticeSet is a finite set of integer points.  The predicates decide
 integral convexity, hole-freeness, exchange-property convexity (the
 "Mnat" class) and discrete midpoint convexity (the "Lnat" class), each
-with an exact witness when the answer is negative.
+with an exact witness when the answer is negative.  Integral convexity
+is decided by the pairwise midpoint characterisation, one exact
+membership certificate per pair of points at max-norm distance >= 2.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import product
 from typing import Iterable, Optional
 
-from . import _kernel
 from .errors import UsageError
-from .exact_geometry import (
-    RationalPoint,
-    _membership_support,
-    hull_facets,
-)
+from .exact_geometry import RationalPoint, _membership_support
+from .exact_geometry import hull_facets  # noqa: F401  bench/selftest.py resolves it here
 
 __all__ = [
     "LatticeSet",
@@ -32,7 +30,6 @@ __all__ = [
     "mnat_violation",
     "is_lnat_convex",
     "lnat_violation",
-    "midpoint_criterion",
 ]
 
 
@@ -144,74 +141,34 @@ def _require_nonempty(s: LatticeSet):
         raise UsageError("predicate is undefined for the empty set")
 
 
-def _cell_anchors(s: LatticeSet):
-    ranges = []
-    for lo, hi in s.bbox:
-        ranges.append(range(lo, max(lo, hi - 1) + 1))
-    return product(*ranges)
-
-
 def integral_convexity_witness(s: LatticeSet) -> Optional[RationalPoint]:
     """A hull point missing from its local hull, or None when s is
     integrally convex.
 
-    Certified cell scan: for each unit cell of the bounding box, every
-    vertex of conv(s) clipped to the cell must have an exact membership
-    certificate in the hull of the cell's own points of s.  Vertices are
-    enumerated as basic solutions of the facet-plus-cell-face system.
+    S is integrally convex when every x in conv(S) lies in
+    conv(S ∩ N(x)), where N(x) = {z in Z^n : floor(x) <= z <= ceil(x)}
+    is the integral neighborhood of x.  For a finite nonempty S ⊆ Z^n
+    this holds if and only if, for all x, y in S with ||x - y||_inf >= 2,
+    the midpoint (x + y)/2 lies in conv(S ∩ N((x + y)/2)) (Murota and
+    Tamura, "Recent progress on integrally convex functions", Japan J.
+    Indust. Appl. Math. 40, 2023).  Pairs with ||x - y||_inf <= 1 are
+    skipped: x and y then both lie in N((x + y)/2), so the midpoint is
+    in the local hull trivially.
+
+    The witness is the midpoint of the first failing pair (x, y), x
+    before y, in the lexicographic order of s.points: its local slice
+    is empty or has no exact membership certificate for it.
     """
     _require_nonempty(s)
-    n = s.dim
-    equalities, inequalities = hull_facets(s.points)
-    eq_rows = [list(h) for h, _ in equalities]
-    eq_rhs = [c for _, c in equalities]
-    need = n - len(equalities)
-    for anchor in _cell_anchors(s):
-        cell_pts = [
-            p
-            for p in product(*(range(a, a + 2) for a in anchor))
-            if p in s
-        ]
-        # candidate active constraints: facets crossing this cell plus the
-        # 2n cell faces; facets that stay clear of the cell cannot be active
-        cands = []
-        for h, c in inequalities:
-            base = sum(a * b for a, b in zip(h, anchor))
-            lo = base + sum(min(v, 0) for v in h)
-            hi = base + sum(max(v, 0) for v in h)
-            if lo <= c <= hi:
-                cands.append((h, c))
-        for i in range(n):
-            e = [0] * n
-            e[i] = 1
-            cands.append((tuple(e), anchor[i] + 1))
-            e = [0] * n
-            e[i] = -1
-            cands.append((tuple(e), -anchor[i]))
-        seen = set()
-        for chosen in combinations(cands, need):
-            rows = eq_rows + [list(h) for h, _ in chosen]
-            rhs = eq_rhs + [c for _, c in chosen]
-            sol = _kernel.solve_square(rows, rhs)
-            if sol is None:
+    pts = s.points
+    for i, x in enumerate(pts):
+        for y in pts[i + 1 :]:
+            if max(abs(a - b) for a, b in zip(x, y)) <= 1:
                 continue
-            x = tuple(Fraction(num, den) for num, den in sol)
-            if x in seen:
-                continue
-            seen.add(x)
-            if any(xi < a or xi > a + 1 for xi, a in zip(x, anchor)):
-                continue
-            if any(
-                sum(a * b for a, b in zip(h, x)) > c for h, c in inequalities
-            ):
-                continue
-            if any(
-                sum(a * b for a, b in zip(h, x)) != c for h, c in equalities
-            ):
-                continue
-            # x is a vertex of conv(s) clipped to this cell
-            if not cell_pts or _membership_support(cell_pts, RationalPoint(x)) is None:
-                return RationalPoint(x)
+            mid = RationalPoint([Fraction(a + b, 2) for a, b in zip(x, y)])
+            local = [p for p in integral_neighborhood(mid) if p in s]
+            if not local or _membership_support(local, mid) is None:
+                return mid
     return None
 
 
@@ -219,27 +176,6 @@ def is_integrally_convex(s: LatticeSet) -> bool:
     """Whether every hull point of s lies in the hull of its integral
     neighborhood slice."""
     return integral_convexity_witness(s) is None
-
-
-def midpoint_criterion(s: LatticeSet) -> bool:
-    """Pairwise midpoint cross-check for integral convexity.
-
-    For every x, y in s the midpoint must lie in the hull of s clipped to
-    the midpoint's integral neighborhood.  This is a fast screen used to
-    cross-validate is_integrally_convex in the test suite; the cell scan
-    stays the certified answer.
-    """
-    _require_nonempty(s)
-    pts = s.points
-    for i, x in enumerate(pts):
-        for y in pts[i + 1 :]:
-            mid = RationalPoint([Fraction(a + b, 2) for a, b in zip(x, y)])
-            local = [p for p in integral_neighborhood(mid) if p in s]
-            if not local:
-                return False
-            if _membership_support(local, mid) is None:
-                return False
-    return True
 
 
 def find_hole(s: LatticeSet) -> Optional[tuple]:

@@ -214,6 +214,14 @@ def test_verify_rounding_small(capsys):
     assert "[pass]" in out
 
 
+def test_verify_nothing_checked_is_not_a_pass(capsys):
+    # one instance with a fractional x: the integral-x report checks nothing
+    assert main(["verify", "--suite", "rounding", "--instances", "1", "--seed", "3"]) == 1
+    out = capsys.readouterr().out
+    assert "[none] integral x within min(n, m) - 1: 0 checked" in out
+    assert "FAIL" not in out
+
+
 @pytest.mark.parametrize("count", ["0", "-1"])
 def test_verify_rejects_nonpositive_instances(capsys, count):
     assert main(["verify", "--suite", "rounding", "--instances", count]) == 2

@@ -14,10 +14,9 @@ from latround import (
     is_lnat_convex,
     is_mnat_convex,
     lnat_violation,
-    midpoint_criterion,
     mnat_violation,
 )
-from latround.oracle import oracle_membership
+from latround.oracle import oracle_integral_convexity, oracle_membership
 
 from conftest import HOLE_SUM_POINTS, TRIPLE_SUM_POINTS
 
@@ -25,6 +24,14 @@ from conftest import HOLE_SUM_POINTS, TRIPLE_SUM_POINTS
 def all_subsets(cells):
     for mask in range(1, 1 << len(cells)):
         yield [cells[i] for i in range(len(cells)) if mask >> i & 1]
+
+
+def assert_certified_witness(s, witness):
+    """The witness is a hull point of s whose local slice is empty or
+    misses it, both decided by the enumeration oracle."""
+    assert oracle_membership(s, witness.coords), (s.points, witness)
+    local = s.intersect_points(integral_neighborhood(witness))
+    assert not local or not oracle_membership(local, witness.coords), (s.points, witness)
 
 
 def test_lattice_set_basics():
@@ -72,18 +79,37 @@ def test_unit_box_subsets_are_integrally_convex():
 
 
 def test_hole_sum_is_not_integrally_convex():
-    assert not is_integrally_convex(LatticeSet(HOLE_SUM_POINTS))
+    s = LatticeSet(HOLE_SUM_POINTS)
+    assert not is_integrally_convex(s)
+    # (0, 1) and (2, 1) are the first pair at max-norm distance 2
+    assert integral_convexity_witness(s).coords == (1, 1)
 
 
 def test_long_diagonal_is_not_integrally_convex():
     s = LatticeSet([(0, 0), (2, 1)])
     witness = integral_convexity_witness(s)
-    assert witness is not None
-    # the witness is genuinely a hull point with an empty or insufficient
-    # local neighborhood: cross-checked by the enumeration oracle
-    assert oracle_membership(s, witness.coords)
-    local = [p for p in integral_neighborhood(witness) if p in s]
-    assert not local or not oracle_membership(LatticeSet(local), witness.coords)
+    assert witness is not None and witness.coords == (1, Fraction(1, 2))
+    assert_certified_witness(s, witness)
+
+
+def test_integral_convexity_agrees_with_oracle_seeded():
+    """All subsets of {0,1}^3 and of {0..5}, plus random subsets of
+    {0,1,2}^3."""
+    import random
+
+    families = [list(product((0, 1), repeat=3)), [(a,) for a in range(6)]]
+    sets = [LatticeSet(raw) for cells in families for raw in all_subsets(cells)]
+    rng = random.Random(11)
+    cube = list(product(range(3), repeat=3))
+    sets += [LatticeSet(rng.sample(cube, rng.randint(2, 7))) for _ in range(300)]
+    verdicts = set()
+    for s in sets:
+        witness = integral_convexity_witness(s)
+        assert (witness is None) == oracle_integral_convexity(s), s.points
+        if witness is not None:
+            assert_certified_witness(s, witness)
+        verdicts.add(witness is None)
+    assert verdicts == {True, False}
 
 
 def test_hole_free_examples():
@@ -113,27 +139,31 @@ def test_predicates_reject_empty():
 
 
 def test_exhaustive_grid_implications():
-    """Class inclusions and the midpoint cross-check on every nonempty
-    subset of the 3x3 grid."""
+    """Class inclusions, and an oracle-certified witness for every
+    non-integrally-convex set, on every nonempty subset of the 3x3
+    grid."""
     cells = [(a, b) for a in range(3) for b in range(3)]
     counts = {"mnat": 0, "lnat": 0, "ic": 0}
     for raw in all_subsets(cells):
         s = LatticeSet(raw)
-        ic = is_integrally_convex(s)
+        witness = integral_convexity_witness(s)
+        ic = witness is None
         if ic:
             counts["ic"] += 1
             assert is_hole_free(s), s.points
+        else:
+            assert_certified_witness(s, witness)
         if is_mnat_convex(s):
             counts["mnat"] += 1
             assert ic, s.points
         if is_lnat_convex(s):
             counts["lnat"] += 1
             assert ic, s.points
-        assert midpoint_criterion(s) == ic, s.points
     assert counts == {"mnat": 68, "lnat": 68, "ic": 117}
 
 
 def test_one_dimensional_sets():
     assert is_integrally_convex(LatticeSet([(0,), (1,), (2,)]))
     assert not is_integrally_convex(LatticeSet([(0,), (2,)]))
+    assert integral_convexity_witness(LatticeSet([(0,), (2,)])).coords == (1,)
     assert find_hole(LatticeSet([(0,), (2,)])) == (1,)
