@@ -254,22 +254,32 @@ def solve_linear_feasibility(matrix, rhs) -> Optional[list]:
     return lam
 
 
-def _membership_lp(points: list, x: RationalPoint):
-    """Run the kernel LP for ``points @ lam = x``, ``sum(lam) = 1``,
-    ``lam >= 0``, with each coordinate row scaled to integers."""
+def _membership_lp(groups: list, x: RationalPoint):
+    """Run the kernel LP for x as a sum of one convex combination per group.
+
+    The rows are ``sum_g points_g @ lam_g = x``, one per coordinate and
+    each scaled to integers, then ``sum(lam_g) = 1``, one per group, with
+    ``lam >= 0``.  Columns run over the groups' points in order.  With a
+    single group this is hull membership of x in conv(points).
+    """
+    columns = [p for points in groups for p in points]
     rows = []
     rhs = []
     for i, xi in enumerate(x.coords):
-        rows.append([p[i] * xi.denominator for p in points])
+        den = xi.denominator
+        rows.append([p[i] * den for p in columns])
         rhs.append(xi.numerator)
-    rows.append([1] * len(points))
-    rhs.append(1)
+    start = 0
+    for points in groups:
+        rows.append([0] * start + [1] * len(points) + [0] * (len(columns) - start - len(points)))
+        rhs.append(1)
+        start += len(points)
     return _kernel.lp_feasible(rows, rhs)
 
 
 def _membership_support(points: list, x: RationalPoint):
     """Support of a basic convex combination of ``points`` hitting x, or None."""
-    status, payload = _membership_lp(points, x)
+    status, payload = _membership_lp([points], x)
     if status != "feasible":
         return None
     return [(points[col], Fraction(num, den)) for col, num, den in payload]
@@ -279,22 +289,22 @@ def hull_membership(points, x) -> Optional[ConvexCombination]:
     """Certificate that x lies in the convex hull of the given lattice points.
 
     Returns a verified ConvexCombination with target x, or None when x is
-    outside the hull.  ``points`` may be a LatticeSet or any iterable of
-    integer points.
+    outside the hull.  ``points`` may be a LatticeSet, whose sorted points
+    and bounding box are used as cached, or any iterable of integer points.
     """
-    pts = _point_list(points)
+    cached = getattr(points, "bbox", None)  # truthy only on a nonempty LatticeSet
+    pts = list(points.points) if cached else _point_list(points)
     x = RationalPoint(x)
     if x.dim != len(pts[0]):
         raise UsageError(f"dimension mismatch: point set is {len(pts[0])}-d, x is {x.dim}-d")
+    bbox = cached or [(min(p[i] for p in pts), max(p[i] for p in pts)) for i in range(x.dim)]
     # cheap exact rejections and the one-point fast path
-    for i in range(x.dim):
-        lo = min(p[i] for p in pts)
-        hi = max(p[i] for p in pts)
-        if x.coords[i] < lo or x.coords[i] > hi:
+    for c, (lo, hi) in zip(x.coords, bbox):
+        if c < lo or c > hi:
             return None
     if x.is_integral():
         xi = x.as_int_tuple()
-        if xi in set(pts):
+        if xi in (points if cached else set(pts)):
             return ConvexCombination([(xi, 1)])
     support = _membership_support(pts, x)
     if support is None:
@@ -312,7 +322,7 @@ def infeasibility_gap(points, x) -> Optional[Fraction]:
     minimum total artificial mass needed to satisfy the membership
     system, and it is zero exactly on hull members.
     """
-    status, payload = _membership_lp(_point_list(points), RationalPoint(x))
+    status, payload = _membership_lp([_point_list(points)], RationalPoint(x))
     if status == "feasible":
         return None
     num, den = payload

@@ -63,9 +63,16 @@ class WitnessedSum:
 def minkowski_sum(sets: Sequence[LatticeSet], budget: int | None = None) -> WitnessedSum:
     """Sum of lattice sets with a stored witness tuple per result point.
 
-    Enumerates the product of the summands in lexicographic order, so the
-    kept witness (first seen) is the lexicographically least one.  Raises
-    BudgetError when the product exceeds the enumeration budget.
+    A fold over partial sums: W_1 = S_1 and W_k = W_{k-1} + S_k, keeping
+    one witness per partial-sum point.  The least witness of a point of
+    W_k starts with the least witness of its partial sum in W_{k-1}, so
+    walking W_{k-1} in the order of its witnesses and S_k in sorted
+    order meets the candidates of each point in lexicographic order, and
+    the first one seen is the lexicographically least.  Each dict so
+    built is also ordered by witness.  The work is sum |W_{k-1}| |S_k|
+    rather than the product of the |S_i|.  The budget gate still
+    compares the product of the summand sizes with the enumeration
+    budget and raises BudgetError over it.
     """
     sets = tuple(sets)
     if not sets:
@@ -86,11 +93,15 @@ def minkowski_sum(sets: Sequence[LatticeSet], budget: int | None = None) -> Witn
             budget=limit,
             required=total,
         )
-    witnesses: dict = {}
-    for tup in product(*(s.points for s in sets)):
-        w = tuple(sum(c) for c in zip(*tup))
-        if w not in witnesses:
-            witnesses[w] = tup
+    witnesses = {p: (p,) for p in sets[0].points}
+    for s in sets[1:]:
+        grown: dict = {}
+        for u, prefix in witnesses.items():
+            for q in s.points:
+                w = tuple(a + b for a, b in zip(u, q))
+                if w not in grown:
+                    grown[w] = prefix + (q,)
+        witnesses = grown
     result = LatticeSet(witnesses.keys(), dim=dim)
     return WitnessedSum(result, witnesses, sets)
 

@@ -9,6 +9,14 @@ exact certificate and every claimed bound is asserted before a result
 is returned.  ``round_point`` is the one dispatcher over summand class
 and norm; ``sf_round_linf``, ``sf_round_l2``, ``mnat_round`` and
 ``lnat_round`` are named entry points into it.
+
+The integrally convex pipelines never enumerate W for a fractional x:
+one LP over the stacked summand system splits x into per-summand hull
+points, and z is assembled from one rounded point per summand, each
+checked to lie in its summand.  W is built (by ``minkowski_sum``) only
+to test whether an integral x is itself a sum point, and on the
+exchange-convex path, which rounds in W itself; the midpoint-convex
+path sums its summands in pairs.
 """
 
 from __future__ import annotations
@@ -28,9 +36,9 @@ from .errors import DomainError, InternalError, UsageError
 from .exact_geometry import (
     ConvexCombination,
     RationalPoint,
+    _membership_lp,
     _membership_support,
     _reduce_support,
-    caratheodory_reduce,
     hull_membership,
     infeasibility_gap,
 )
@@ -146,31 +154,37 @@ class RoundingResult:
         )
 
 
-def decompose_into_summand_hulls(w: WitnessedSum, x) -> list:
-    """Split x in conv(W) into certified per-summand hull points.
+def decompose_into_summand_hulls(sets: Sequence[LatticeSet], x) -> list:
+    """Split x in conv(S_1 + ... + S_m) into certified per-summand hull points.
 
-    Returns [(y_i, combination over summand i)] with sum(y_i) = x.  The
-    split pushes a Caratheodory-reduced combination of x over the sum
-    points through the stored witness tuples, so it is deterministic.
+    Returns [(y_i, combination over summand i)] with sum(y_i) = x.  One
+    kernel LP decides membership and splits x at once, over the stacked
+    system: n coordinate rows, then one convex-weight row per summand,
+    over the sum of |S_i| columns.  Its basic feasible solution has at
+    most m + n positive weights and each summand needs at least one, so
+    at most n summands get more than one support point; all others are
+    single lattice points.  Bland's rule in the kernel makes the split
+    deterministic.  Raises DomainError, carrying this LP's phase-1
+    infeasibility gap, when x is outside the hull.
     """
+    sets = list(sets)
+    n = _check_sets(sets)
     x = RationalPoint(x)
-    if x.dim != w.dim:
-        raise UsageError(f"x is {x.dim}-dimensional, the sum is {w.dim}-dimensional")
-    comb = hull_membership(w.result, x)
-    if comb is None:
-        raise _outside_hull(w, x)
-    comb = caratheodory_reduce(comb)
-    m = len(w.summands)
-    per_set = [dict() for _ in range(m)]
-    for point, weight in comb.support:
-        witness = w.witnesses[point]
-        for i in range(m):
-            s = witness[i]
-            per_set[i][s] = per_set[i].get(s, Fraction(0)) + weight
+    if x.dim != n:
+        raise UsageError(f"x is {x.dim}-dimensional, the summands are {n}-dimensional")
+    groups = [s.points for s in sets]
+    status, payload = _membership_lp(groups, x)
+    if status != "feasible":
+        raise _outside_hull(x, Fraction(*payload))
+    owners = [(i, p) for i, points in enumerate(groups) for p in points]
+    per_set: list = [[] for _ in sets]
+    for col, num, den in payload:
+        i, p = owners[col]
+        per_set[i].append((p, Fraction(num, den)))
     out = []
-    total = RationalPoint([0] * x.dim)
-    for i in range(m):
-        part = ConvexCombination(per_set[i].items())
+    total = RationalPoint([0] * n)
+    for support in per_set:
+        part = ConvexCombination(support)
         out.append((part.target, part))
         total = total + part.target
     if total != x:
@@ -322,8 +336,7 @@ def _integral_shortcut(w: WitnessedSum, x: RationalPoint):
     return None
 
 
-def _outside_hull(w: WitnessedSum, x: RationalPoint) -> DomainError:
-    gap = infeasibility_gap(w.result, x)
+def _outside_hull(x: RationalPoint, gap: Fraction) -> DomainError:
     return DomainError(
         f"{x} is outside the hull of the sum (phase-1 infeasibility gap {gap})",
         witness=x,
@@ -348,11 +361,18 @@ def round_point(
 
     ``norm`` picks the pipeline: "linf" cube-rounds the fractional
     shares of a basic decomposition; "l2" scans the sum of the clipped
-    summands for the nearest point; "best" runs both on one sum and
+    summands for the nearest point; "best" runs both on one split and
     keeps the nearer point in the max norm, which is within
     min(alpha, beta).  Every norm but ic/l2 needs dimension at least 2.
     ``verify=False`` skips the class check of the summands and trusts
     the caller.  The result is tagged "mnat" or "<cls>-<norm>".
+
+    The "ic" and "lnat" pipelines split x over the summands with one
+    stacked LP (``decompose_into_summand_hulls``) and never enumerate W
+    for a fractional x, so their cost grows with the sum of the summand
+    sizes, not their product.  An integral x is first looked up in the
+    enumerated W, which keeps the enumeration budget: past it, such a
+    call raises BudgetError.
     """
     if cls not in _CLASS_LABELS:
         raise UsageError(f"unknown class {cls!r}")
@@ -411,15 +431,14 @@ def _pair_sums(sets: list, verify: bool) -> list:
 
 
 def _round_ic(sets: list, x: RationalPoint, norm: str, tag: str) -> RoundingResult:
-    """The integrally convex pipelines on one witnessed sum."""
+    """The integrally convex pipelines; W is built only for an integral x."""
     n = x.dim
     m = len(sets)
     pair = bound_pair(n, m)
     integral = x.is_integral()
-    w = minkowski_sum(sets)
-    z = _integral_shortcut(w, x)
+    z = _integral_shortcut(minkowski_sum(sets), x) if integral else None
     if z is None:
-        ys = decompose_into_summand_hulls(w, x)
+        ys = decompose_into_summand_hulls(sets, x)
         locals_ = local_restrictions(sets, [y for y, _ in ys])
         candidates = []
         if norm != "l2":
@@ -427,9 +446,10 @@ def _round_ic(sets: list, x: RationalPoint, norm: str, tag: str) -> RoundingResu
         if norm != "linf":
             candidates.append(_nearest_clipped(locals_, x))
         # min keeps the first of equally near candidates: linf before l2
-        z = min(candidates, key=lambda p: x.linf_distance(RationalPoint(p)))
-        if z not in w:
-            raise InternalError(f"rounded point {z} is not a sum point")
+        z, parts = min(candidates, key=lambda c: x.linf_distance(RationalPoint(c[0])))
+        for i, (s, p) in enumerate(zip(sets, parts)):
+            if p not in s:
+                raise InternalError(f"rounded part {p} is not a point of summand {i}")
     if norm == "linf":
         bound = Fraction(min(n, m) - 1) if integral else pair.alpha
         return RoundingResult(x, z, tag, bound_linf=bound)
@@ -447,7 +467,10 @@ def _round_ic(sets: list, x: RationalPoint, norm: str, tag: str) -> RoundingResu
 
 
 def _cube_round_shares(locals_: list, x: RationalPoint) -> tuple:
-    """Pivot to a basic decomposition and cube-round its fractional shares."""
+    """Pivot to a basic decomposition and cube-round its fractional shares.
+
+    Returns (z, parts): one point per clipped summand, and their sum z.
+    """
     dec = sf_decompose([t for t, _ in locals_], x, [c for _, c in locals_])
     parts = []
     for i, (t, _) in enumerate(locals_):
@@ -456,12 +479,16 @@ def _cube_round_shares(locals_: list, x: RationalPoint) -> tuple:
         else:
             comb = dec.fractional[i]
             parts.append(cube_round(t, comb.target, comb))
-    return tuple(sum(c) for c in zip(*parts))
+    return tuple(sum(c) for c in zip(*parts)), tuple(parts)
 
 
 def _nearest_clipped(locals_: list, x: RationalPoint) -> tuple:
-    """Lexicographically least nearest point of the clipped sum in the
-    Euclidean norm."""
+    """Lexicographically least nearest point z of the clipped sum in the
+    Euclidean norm, with its witness as the parts: (z, parts).
+
+    After a basic split all but at most n clipped summands are single
+    points, so the clipped sum stays small whatever m is.
+    """
     clipped = minkowski_sum([t for t, _ in locals_])
     best = None
     best_d = None
@@ -469,7 +496,7 @@ def _nearest_clipped(locals_: list, x: RationalPoint) -> tuple:
         d = x.l2sq_distance(RationalPoint(p))
         if best_d is None or d < best_d:
             best, best_d = p, d
-    return best
+    return best, clipped.witnesses[best]
 
 
 def _round_mnat(sets: list, x: RationalPoint, verify: bool) -> RoundingResult:
@@ -485,7 +512,7 @@ def _round_mnat(sets: list, x: RationalPoint, verify: bool) -> RoundingResult:
     if shortcut is not None:
         return RoundingResult(x, shortcut, "mnat", bound_linf=bound)
     if hull_membership(w.result, x) is None:
-        raise _outside_hull(w, x)
+        raise _outside_hull(x, infeasibility_gap(w.result, x))
     members = integral_neighborhood(x).members
     local = w.result.intersect_points(members)
     support = _membership_support(list(local.points), x) if len(local) else None

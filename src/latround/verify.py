@@ -10,11 +10,9 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import combinations
 
 from .bounds import Comparison, alpha_beta_compare, bound_pair, theta
 from .discrete_sets import (
-    LatticeSet,
     integral_convexity_witness,
     integral_neighborhood,
     is_hole_free,
@@ -186,7 +184,7 @@ def run_rounding_suite(seed: int = 42, instances: int = 200) -> list:
             pipeline_in_sum.ok()
         else:
             pipeline_in_sum.fail(tag)
-        ys = decompose_into_summand_hulls(w, x)
+        ys = decompose_into_summand_hulls(sets, x)
         locals_ = local_restrictions(sets, [y for y, _ in ys])
         dec = sf_decompose([t for t, _ in locals_], x, [c for _, c in locals_])
         i_set, _ = dec.index_sets

@@ -3,6 +3,8 @@ from fractions import Fraction
 from itertools import permutations, product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from latround import (
     BudgetError,
@@ -88,6 +90,31 @@ def test_sum_is_permutation_invariant():
         # associativity: fold pairwise
         left = minkowski_sum([minkowski_sum(sets[:2]).result, sets[2]]).result
         assert left == reference
+
+
+def product_scan(sets):
+    """Witnessed sum by scanning every tuple in lexicographic order."""
+    witnesses = {}
+    for tup in product(*(s.points for s in sets)):
+        witnesses.setdefault(tuple(sum(c) for c in zip(*tup)), tup)
+    return witnesses
+
+
+@st.composite
+def summand_lists(draw):
+    n = draw(st.integers(1, 3))
+    point = st.tuples(*[st.integers(-2, 2)] * n)
+    raw = draw(st.lists(st.sets(point, min_size=1, max_size=5), min_size=1, max_size=5))
+    return [LatticeSet(pts) for pts in raw]
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(summand_lists())
+def test_fold_witnesses_match_product_scan(sets):
+    w = minkowski_sum(sets)
+    # same witnesses, and the same order: by witness
+    assert list(w.witnesses.items()) == list(product_scan(sets).items())
+    assert w.result.points == tuple(sorted(w.witnesses))
 
 
 def test_budget_error_names_the_bound():

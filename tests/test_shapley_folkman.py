@@ -5,6 +5,7 @@ from itertools import product
 import pytest
 
 from latround import (
+    BudgetError,
     ConvexCombination,
     DomainError,
     LatticeSet,
@@ -37,9 +38,8 @@ def certificate_for(s, x):
 
 
 def test_decompose_hole_point(hole_pair):
-    w = minkowski_sum(hole_pair)
     half = Fraction(1, 2)
-    parts = decompose_into_summand_hulls(w, (1, 1))
+    parts = decompose_into_summand_hulls(hole_pair, (1, 1))
     assert len(parts) == 2
     total = None
     for (y, cert), s in zip(parts, hole_pair):
@@ -52,16 +52,15 @@ def test_decompose_hole_point(hole_pair):
 
 def test_decompose_single_summand():
     s = LatticeSet([(0, 0), (1, 0), (0, 1)])
-    w = minkowski_sum([s])
     x = (Fraction(1, 3), Fraction(1, 3))
-    ((y, cert),) = decompose_into_summand_hulls(w, x)
+    ((y, cert),) = decompose_into_summand_hulls([s], x)
     assert y == RationalPoint(x)
     assert cert.target == y
 
 
 def test_decompose_vertex_uses_witness(hole_pair):
     w = minkowski_sum(hole_pair)
-    parts = decompose_into_summand_hulls(w, (2, 1))
+    parts = decompose_into_summand_hulls(hole_pair, (2, 1))
     witness = w.witnesses[(2, 1)]
     for (y, cert), part in zip(parts, witness):
         assert y == RationalPoint(part)
@@ -69,9 +68,41 @@ def test_decompose_vertex_uses_witness(hole_pair):
 
 
 def test_decompose_outside_hull(hole_pair):
-    w = minkowski_sum(hole_pair)
     with pytest.raises(DomainError):
-        decompose_into_summand_hulls(w, (5, 5))
+        decompose_into_summand_hulls(hole_pair, (5, 5))
+
+
+def _random_hull_point(rng, s):
+    chosen = rng.sample(list(s.points), rng.randint(1, len(s)))
+    raw = [rng.randint(1, 4) for _ in chosen]
+    total = sum(raw)
+    return ConvexCombination([(p, Fraction(r, total)) for p, r in zip(chosen, raw)]).target
+
+
+def test_decompose_stacked_split_is_certified_and_basic():
+    rng = random.Random(31)
+    for _ in range(80):
+        n = rng.choice([2, 3])
+        m = rng.randint(1, 6)
+        sets = [
+            LatticeSet({tuple(rng.randint(0, 2) for _ in range(n)) for _ in range(rng.randint(1, 5))})
+            for _ in range(m)
+        ]
+        x = RationalPoint([0] * n)
+        for s in sets:
+            x = x + _random_hull_point(rng, s)
+        parts = decompose_into_summand_hulls(sets, x)
+        assert len(parts) == m
+        total = RationalPoint([0] * n)
+        for (y, cert), s in zip(parts, sets):
+            assert cert.target == y
+            assert set(cert.points()) <= set(s.points)
+            assert oracle_membership(s, y.coords)
+            total = total + y
+        assert total == x
+        assert sum(not y.is_integral() for y, _ in parts) <= min(n, m)
+        # a basic solution: at most n + m positive weights in all
+        assert sum(len(cert) for _, cert in parts) <= n + m
 
 
 # ------------------------------------------------------- local restrictions
@@ -276,6 +307,47 @@ def test_round_results_deterministic(hole_pair):
     a = sf_round_linf(hole_pair, (1, 1))
     b = sf_round_linf(hole_pair, (1, 1))
     assert a.z == b.z
+
+
+def _set_sum(sets):
+    acc = {(0,) * sets[0].dim}
+    for s in sets:
+        acc = {tuple(a + b for a, b in zip(p, q)) for p in acc for q in s.points}
+    return acc
+
+
+UNIT_SQUARE = LatticeSet(product((0, 1), repeat=2))
+TRIANGLE = LatticeSet([(0, 0), (1, 0), (0, 1)])
+
+
+@pytest.mark.parametrize(
+    "sets, x",
+    [
+        # 4^12 tuples, over the enumeration budget, for a 169-point sum
+        ([UNIT_SQUARE] * 12, (Fraction(13, 2), Fraction(10, 3))),
+        ([TRIANGLE, UNIT_SQUARE] * 32, (Fraction(74, 3), Fraction(121, 5))),
+    ],
+)
+def test_many_summands_round_without_the_sum(sets, x):
+    n = len(x)
+    pair = bound_pair(n, len(sets))
+    w = _set_sum(sets)
+    res_inf = sf_round_linf(sets, x)
+    assert res_inf.z in w
+    assert res_inf.distance_linf <= pair.alpha
+    res_l2 = sf_round_l2(sets, x)
+    assert res_l2.z in w
+    assert res_l2.distance_l2_sq <= pair.beta_sq
+
+
+def test_many_summands_integral_x_still_needs_the_sum():
+    # an integral x is tested against the enumerated sum, whose budget
+    # is kept on purpose
+    sets = [UNIT_SQUARE] * 12
+    with pytest.raises(BudgetError):
+        sf_round_linf(sets, (6, 6))
+    with pytest.raises(BudgetError):
+        sf_round_l2(sets, (6, 6))
 
 
 # --------------------------------------------------------------- mnat_round
