@@ -19,7 +19,7 @@ import re
 import sys
 from fractions import Fraction
 
-from .bounds import bounds_table
+from .bounds import TABLE_M_VALUES, bounds_table
 from .discrete_sets import (
     LatticeSet,
     find_hole,
@@ -150,7 +150,7 @@ def cmd_bounds(args) -> int:
         if not args.n_list or not args.m_list:
             raise UsageError("provide --paper-table, or both --n-list and --m-list")
         table = bounds_table(args.n_list, args.m_list)
-    ms = args.m_list if (args.m_list and not args.paper_table) else [1, 2, 3, 4, 5]
+    ms = args.m_list if (args.m_list and not args.paper_table) else TABLE_M_VALUES
     header = "        " + "  ".join(f"m={m}".ljust(8) for m in ms)
     print(header)
     for n, row in table:

@@ -2,21 +2,28 @@
 
 Given integrally convex summands and a hull point x of their sum W,
 these pipelines produce an actual sum point z within the closed-form
-distance bounds: alpha(n, m) in the max norm, beta(n, m) in the
-Euclidean norm, 1 - 1/n for exchange-convex summands, and the halved
-summand count for midpoint-convex summands.  Every step carries an
-exact certificate and every claimed bound is asserted before a result
-is returned.  ``round_point`` is the one dispatcher over summand class
-and norm; ``sf_round_linf``, ``sf_round_l2``, ``mnat_round`` and
-``lnat_round`` are named entry points into it.
+distance bounds: alpha(n, m) in the max norm and beta(n, m) in the
+Euclidean norm.  Every step carries an exact certificate and every
+claimed bound is asserted before a result is returned.  ``round_point``
+is the one dispatcher over summand class and norm; ``sf_round_linf``,
+``sf_round_l2``, ``mnat_round`` and ``lnat_round`` are named entry
+points into it.
 
-The integrally convex pipelines never enumerate W for a fractional x:
+Every summand class is rounded by one integrally convex core, after a
+reduction to integrally convex summands:
+
+- integrally convex summands are passed as given;
+- midpoint-convex summands are summed in consecutive pairs, and each
+  pair sum is integrally convex, so m becomes ceil(m/2);
+- exchange-convex summands are summed into W, which is exchange-convex
+  and so one integrally convex summand; alpha(n, 1) = 1 - 1/n is the
+  exchange-convex bound.
+
+The core never enumerates the sum of its summands for a fractional x:
 one LP over the stacked summand system splits x into per-summand hull
 points, and z is assembled from one rounded point per summand, each
-checked to lie in its summand.  W is built (by ``minkowski_sum``) only
-to test whether an integral x is itself a sum point, and on the
-exchange-convex path, which rounds in W itself; the midpoint-convex
-path sums its summands in pairs.
+checked to lie in its summand.  That sum is built (by ``minkowski_sum``)
+only to test whether an integral x is itself a sum point.
 """
 
 from __future__ import annotations
@@ -39,10 +46,8 @@ from .exact_geometry import (
     _membership_lp,
     _membership_support,
     _reduce_support,
-    hull_membership,
-    infeasibility_gap,
 )
-from .minkowski import WitnessedSum, minkowski_sum
+from .minkowski import minkowski_sum
 
 __all__ = [
     "SfDecomposition",
@@ -175,7 +180,11 @@ def decompose_into_summand_hulls(sets: Sequence[LatticeSet], x) -> list:
     groups = [s.points for s in sets]
     status, payload = _membership_lp(groups, x)
     if status != "feasible":
-        raise _outside_hull(x, Fraction(*payload))
+        gap = Fraction(*payload)
+        raise DomainError(
+            f"{x} is outside the hull of the sum (phase-1 infeasibility gap {gap})",
+            witness=x,
+        )
     owners = [(i, p) for i, points in enumerate(groups) for p in points]
     per_set: list = [[] for _ in sets]
     for col, num, den in payload:
@@ -198,7 +207,8 @@ def local_restrictions(sets: Sequence[LatticeSet], ys: Sequence) -> list:
     Returns [(T_i, combination certifying y_i in conv(T_i))].  T_i sits
     inside a translated unit cube by construction.  A failed certificate
     means the summand is not integrally convex at y_i, which is reported
-    with that witness.
+    with that witness.  A lattice-point y_i is its own neighborhood, so
+    it certifies itself with weight 1 and needs no LP.
     """
     if len(sets) != len(ys):
         raise UsageError("one hull point per summand is required")
@@ -207,10 +217,12 @@ def local_restrictions(sets: Sequence[LatticeSet], ys: Sequence) -> list:
         y = RationalPoint(y)
         if y.dim != s.dim:
             raise UsageError("dimension mismatch between summand and hull point")
-        members = integral_neighborhood(y).members
-        local = s.intersect_points(members)
-        support = None
-        if len(local):
+        local = s.intersect_points(integral_neighborhood(y).members)
+        if not len(local):
+            support = None
+        elif y.is_integral():
+            support = [(local.points[0], Fraction(1))]
+        else:
             support = _membership_support(list(local.points), y)
         if support is None:
             raise DomainError(
@@ -328,21 +340,6 @@ def _check_sets(sets) -> int:
     return dim
 
 
-def _integral_shortcut(w: WitnessedSum, x: RationalPoint):
-    if x.is_integral():
-        z = x.as_int_tuple()
-        if z in w:
-            return z
-    return None
-
-
-def _outside_hull(x: RationalPoint, gap: Fraction) -> DomainError:
-    return DomainError(
-        f"{x} is outside the hull of the sum (phase-1 infeasibility gap {gap})",
-        witness=x,
-    )
-
-
 def round_point(
     sets: Sequence[LatticeSet], x, cls: str = "ic", norm: str = "linf", verify: bool = True
 ) -> RoundingResult:
@@ -353,11 +350,16 @@ def round_point(
     - "ic", integrally convex: max-norm distance at most alpha(n, m),
       and at most min(n, m) - 1 for integral x; squared Euclidean
       distance at most beta(n, m)^2.
-    - "mnat", exchange-convex: max-norm distance at most 1 - 1/n.  Only
-      ``norm="linf"`` is supported.
+    - "mnat", exchange-convex: the sum W is exchange-convex, hence one
+      integrally convex summand, so the "ic" bound holds with m = 1:
+      max-norm distance at most alpha(n, 1) = 1 - 1/n, and 0 for
+      integral x.  Only ``norm="linf"`` is supported.
     - "lnat", midpoint-convex: summands are paired (1,2), (3,4), ...;
       the pair sums are integrally convex, so the "ic" bounds hold with
       m' = ceil(m/2) in place of m.
+
+    Each class is thus reduced to a list of integrally convex summands,
+    which one core (``_round_ic``) rounds.
 
     ``norm`` picks the pipeline: "linf" cube-rounds the fractional
     shares of a basic decomposition; "l2" scans the sum of the clipped
@@ -367,12 +369,12 @@ def round_point(
     ``verify=False`` skips the class check of the summands and trusts
     the caller.  The result is tagged "mnat" or "<cls>-<norm>".
 
-    The "ic" and "lnat" pipelines split x over the summands with one
-    stacked LP (``decompose_into_summand_hulls``) and never enumerate W
-    for a fractional x, so their cost grows with the sum of the summand
-    sizes, not their product.  An integral x is first looked up in the
-    enumerated W, which keeps the enumeration budget: past it, such a
-    call raises BudgetError.
+    The core splits x over its summands with one stacked LP
+    (``decompose_into_summand_hulls``) and never enumerates their sum
+    for a fractional x, so for "ic" and "lnat" the cost grows with the
+    sum of the summand sizes, not their product.  An integral x is first
+    looked up in the enumerated sum, which keeps the enumeration budget:
+    past it, such a call raises BudgetError; "mnat" enumerates W always.
     """
     if cls not in _CLASS_LABELS:
         raise UsageError(f"unknown class {cls!r}")
@@ -402,7 +404,7 @@ def round_point(
                     f"summand {i} is not {_CLASS_LABELS[cls]}: witness {bad}", witness=bad
                 )
     if cls == "mnat":
-        return _round_mnat(sets, x, verify)
+        return _round_ic([minkowski_sum(sets).result], x, norm, "mnat")
     if cls == "lnat":
         sets = _pair_sums(sets, verify)
     return _round_ic(sets, x, norm, f"{cls}-{norm}")
@@ -431,13 +433,14 @@ def _pair_sums(sets: list, verify: bool) -> list:
 
 
 def _round_ic(sets: list, x: RationalPoint, norm: str, tag: str) -> RoundingResult:
-    """The integrally convex pipelines; W is built only for an integral x."""
+    """The integrally convex core; W is built only for an integral x."""
     n = x.dim
     m = len(sets)
     pair = bound_pair(n, m)
     integral = x.is_integral()
-    z = _integral_shortcut(minkowski_sum(sets), x) if integral else None
-    if z is None:
+    if integral and x.as_int_tuple() in minkowski_sum(sets):
+        z = x.as_int_tuple()
+    else:
         ys = decompose_into_summand_hulls(sets, x)
         locals_ = local_restrictions(sets, [y for y, _ in ys])
         candidates = []
@@ -499,38 +502,6 @@ def _nearest_clipped(locals_: list, x: RationalPoint) -> tuple:
     return best, clipped.witnesses[best]
 
 
-def _round_mnat(sets: list, x: RationalPoint, verify: bool) -> RoundingResult:
-    """The sum of exchange-convex sets is again exchange-convex, hence
-    integrally convex, so the whole sum is treated as one summand:
-    clip it to the integral neighborhood of x and cube-round there.
-    Integral x short-circuits to itself because such sums are hole-free.
-    """
-    n = x.dim
-    w = minkowski_sum(sets)
-    bound = Fraction(n - 1, n)
-    shortcut = _integral_shortcut(w, x)
-    if shortcut is not None:
-        return RoundingResult(x, shortcut, "mnat", bound_linf=bound)
-    if hull_membership(w.result, x) is None:
-        raise _outside_hull(x, infeasibility_gap(w.result, x))
-    members = integral_neighborhood(x).members
-    local = w.result.intersect_points(members)
-    support = _membership_support(list(local.points), x) if len(local) else None
-    if support is None:
-        # the sum of verified exchange-convex sets is integrally convex,
-        # so a missing local certificate means unverified bad input
-        if verify:
-            raise InternalError("verified exchange-convex sum lost integral convexity")
-        raise DomainError(
-            f"sum is not integrally convex at {x}; summands were not verified",
-            witness=x,
-        )
-    z = cube_round(local, x, ConvexCombination(support))
-    if z not in w:
-        raise InternalError(f"rounded point {z} is not a sum point")
-    return RoundingResult(x, z, "mnat", bound_linf=bound)
-
-
 def sf_round_linf(sets: Sequence[LatticeSet], x, verify: bool = True) -> RoundingResult:
     """Round x in conv(W) to z in W with max-norm distance at most
     alpha(n, m); at most min(n, m) - 1 when x is integral.
@@ -553,8 +524,9 @@ def sf_round_l2(sets: Sequence[LatticeSet], x, verify: bool = True) -> RoundingR
 
 
 def mnat_round(sets: Sequence[LatticeSet], x, verify: bool = True) -> RoundingResult:
-    """Round over exchange-convex summands: distance at most 1 - 1/n.
-    Same as ``round_point(sets, x, "mnat", "linf", verify)``.
+    """Round over exchange-convex summands: distance at most 1 - 1/n,
+    the integrally convex bound alpha(n, 1) for their sum W as one
+    summand.  Same as ``round_point(sets, x, "mnat", "linf", verify)``.
     """
     return round_point(sets, x, "mnat", "linf", verify)
 

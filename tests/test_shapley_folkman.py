@@ -15,6 +15,7 @@ from latround import (
     cube_round,
     decompose_into_summand_hulls,
     hull_membership,
+    is_mnat_convex,
     lnat_round,
     local_restrictions,
     minkowski_sum,
@@ -133,6 +134,21 @@ def test_local_restriction_reports_nonconvexity():
         local_restrictions([s], [(1, Fraction(1, 2))])
     assert "integrally convex" in str(err.value)
     assert err.value.witness == RationalPoint((1, Fraction(1, 2)))
+
+
+def test_local_restriction_integral_share_outside_the_set():
+    s = LatticeSet([(0, 0), (1, 1)])
+    with pytest.raises(DomainError) as err:
+        local_restrictions([s], [(1, 0)])
+    assert "integrally convex" in str(err.value)
+    assert err.value.witness == RationalPoint((1, 0))
+
+
+def test_local_restriction_integral_share_certifies_itself():
+    s = LatticeSet([(0, 0), (1, 0), (1, 1)])
+    ((t, cert),) = local_restrictions([s], [(1, 0)])
+    assert t.points == ((1, 0),)
+    assert cert.support == (((1, 0), Fraction(1)),)
 
 
 # ------------------------------------------------------------- sf_decompose
@@ -361,6 +377,7 @@ def test_mnat_round_integral_is_exact():
     res = mnat_round(sets, (1, 1))
     assert res.z == (1, 1)
     assert res.distance_linf == 0
+    assert res.bound_linf == 0  # min(n, 1) - 1 for the sum as one summand
 
 
 def test_mnat_round_triangle():
@@ -380,6 +397,37 @@ def test_mnat_round_matroid_style():
     x = (Fraction(2, 3), Fraction(2, 3), Fraction(1, 3))
     res = mnat_round([u13, u23], x)
     assert res.distance_linf <= 1 - Fraction(1, 3)
+
+
+def _random_mnat_set(rng, n):
+    top = 2 if n == 2 else 1
+    while True:
+        pts = {tuple(rng.randint(0, top) for _ in range(n)) for _ in range(rng.randint(1, 5))}
+        s = LatticeSet(pts)
+        if is_mnat_convex(s):
+            return s
+
+
+@pytest.mark.parametrize("verify", [True, False])
+def test_mnat_round_is_least_nearest_local_sum_point(verify):
+    # the exchange-convex sum W is rounded as one integrally convex
+    # summand: z is the lexicographically least max-norm-nearest point of
+    # W in the integral neighborhood of x
+    rng = random.Random(53)
+    kinds = {True: 0, False: 0}
+    for _ in range(60):
+        n = rng.choice([2, 3])
+        sets = [_random_mnat_set(rng, n) for _ in range(rng.randint(1, 3))]
+        w = _set_sum(sets)
+        x = _random_hull_point(rng, LatticeSet(w))
+        res = mnat_round(sets, x, verify=verify)
+        lo, hi = x.floor(), x.ceil()
+        local = sorted(p for p in w if all(a <= c <= b for a, c, b in zip(lo, p, hi)))
+        assert res.z == min(local, key=lambda p: x.linf_distance(RationalPoint(p)))
+        assert res.theorem_tag == "mnat"
+        assert res.bound_linf == (0 if x.is_integral() else 1 - Fraction(1, n))
+        kinds[x.is_integral()] += 1
+    assert kinds[True] >= 5 and kinds[False] >= 5
 
 
 def test_mnat_round_rejects_nonexchange():
