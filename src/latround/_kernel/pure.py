@@ -1,13 +1,19 @@
 """Exact integer pivoting kernels, pure Python edition.
 
-These three routines are the hot inner loops of the whole package and,
-apart from the independent oracles, its only exact elimination: every
-hull-membership certificate (and so every integral-convexity verdict),
-Caratheodory reduction, and every rank test and null-space basis of
-``hull_facets`` bottoms out here.  All arithmetic is on Python integers,
-so results are exact at any magnitude.  ``latround._kernel`` swaps in the
-compiled twin (``_speedups``) when it is available; both implementations
-must stay behaviourally identical, including tie-breaking.
+Apart from the independent oracles, these routines are the package's only
+exact elimination.  ``lp_feasible`` decides every hull-membership
+certificate (and so every integral-convexity verdict) and the stacked
+per-summand split of the rounding pipelines; ``nullspace_vector`` drives
+the support reduction of ``sf_decompose`` and ``caratheodory_reduce`` and
+the rank tests of ``hull_facets``; ``solve_square`` has no caller in the
+package.  Callers pass integer rows and read integer results: a solution
+comes back as reduced (num, den) pairs, which the geometry layer keeps as
+integer numerators over one common denominator.  All arithmetic is on
+Python integers, so results are exact at any magnitude, and every
+eliminated row is divided by the gcd of its entries to keep them small.
+``latround._kernel`` swaps in the compiled twin (``_speedups``) when it is
+available; both implementations must stay behaviourally identical,
+including tie-breaking.
 """
 
 from math import gcd
@@ -16,15 +22,10 @@ __all__ = ["lp_feasible", "nullspace_vector", "solve_square"]
 
 
 def _gcd_reduce(row):
-    g = 0
-    for v in row:
-        if v:
-            g = gcd(g, v)
-            if g == 1:
-                return row
+    """Divide the integer list ``row`` in place by the gcd of its entries."""
+    g = gcd(*row)
     if g > 1:
-        for i in range(len(row)):
-            row[i] //= g
+        row[:] = [v // g for v in row]
     return row
 
 

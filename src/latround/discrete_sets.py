@@ -10,7 +10,6 @@ membership certificate per pair of points at max-norm distance >= 2.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import product
 from typing import Iterable, Optional
 
@@ -57,16 +56,14 @@ class LatticeSet:
             dim = inferred
         elif dim is None:
             raise UsageError("empty set needs an explicit dimension")
-        ordered = tuple(sorted(pts))
-        if ordered:
-            bbox = tuple(
-                (min(p[i] for p in ordered), max(p[i] for p in ordered)) for i in range(dim)
-            )
-        else:
-            bbox = ()
+        self._fill(tuple(sorted(pts)), dim)
+
+    def _fill(self, ordered: tuple, dim: int):
+        """Set the fields from sorted distinct integer points."""
+        cols = tuple(zip(*ordered))
         object.__setattr__(self, "dim", dim)
         object.__setattr__(self, "points", ordered)
-        object.__setattr__(self, "bbox", bbox)
+        object.__setattr__(self, "bbox", tuple(zip(map(min, cols), map(max, cols))))
         object.__setattr__(self, "_index", frozenset(ordered))
 
     def __setattr__(self, name, value):
@@ -96,8 +93,13 @@ class LatticeSet:
         return f"LatticeSet(dim={self.dim}, points={list(self.points)})"
 
     def intersect_points(self, pts: Iterable) -> "LatticeSet":
-        found = [p for p in pts if p in self._index]
-        return LatticeSet(found, dim=self.dim, allow_empty=True)
+        """The given points that lie in this set, as a possibly empty set."""
+        index = self._index
+        # members of the set are integer points already: no re-validation
+        found = sorted({tuple(map(int, p)) for p in pts if p in index})
+        out = object.__new__(LatticeSet)
+        out._fill(tuple(found), self.dim)
+        return out
 
 
 class IntegralNeighborhood:
@@ -130,7 +132,8 @@ def integral_neighborhood(x) -> IntegralNeighborhood:
     x = RationalPoint(x)
     lo = x.floor()
     hi = x.ceil()
-    members = tuple(sorted(product(*(range(a, b + 1) for a, b in zip(lo, hi)))))
+    # product over increasing ranges yields the members in sorted order
+    members = tuple(product(*(range(a, b + 1) for a, b in zip(lo, hi))))
     return IntegralNeighborhood(x, members)
 
 
@@ -165,7 +168,7 @@ def integral_convexity_witness(s: LatticeSet) -> Optional[RationalPoint]:
         for y in pts[i + 1 :]:
             if max(abs(a - b) for a, b in zip(x, y)) <= 1:
                 continue
-            mid = RationalPoint([Fraction(a + b, 2) for a, b in zip(x, y)])
+            mid = RationalPoint.from_numerators(tuple(a + b for a, b in zip(x, y)), 2)
             local = [p for p in integral_neighborhood(mid) if p in s]
             if not local or _membership_support(local, mid) is None:
                 return mid

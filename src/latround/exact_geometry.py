@@ -1,9 +1,12 @@
 """Exact rational convex geometry.
 
 Hull membership with verified certificates, Caratheodory support
-reduction, nonnegative linear feasibility and hull facets.  Scalars are
-``fractions.Fraction`` throughout; no floating point enters any
-certified path.
+reduction, nonnegative linear feasibility and hull facets.  Points and
+convex weights are kept as integer numerators over one positive common
+denominator in lowest terms, and all arithmetic on them is integer
+arithmetic; ``fractions.Fraction`` appears only where a value leaves the
+module (coordinates, support weights, distances).  No floating point
+enters any certified path.
 
 This module does no elimination of its own: feasibility, null vectors,
 rank tests and null-space bases all go through the integer kernel
@@ -15,6 +18,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import combinations
 from math import gcd, lcm
+from operator import mul
 from typing import Iterable, Optional, Sequence
 
 from . import _kernel
@@ -49,22 +53,49 @@ def as_rational(value) -> Fraction:
 
 
 class RationalPoint:
-    """A point of Q^n with exact componentwise arithmetic."""
+    """A point of Q^n with exact componentwise arithmetic.
 
-    __slots__ = ("coords",)
+    Stored as integer numerators ``num`` over one positive common
+    denominator ``den``, in lowest terms: gcd(den, *num) == 1, so equal
+    points have equal (num, den).  ``coords``, indexing and iteration give
+    the coordinates as Fractions; arithmetic and distances work on the
+    integers and build at most one Fraction, for a returned distance.
+    """
 
-    def __init__(self, coords):
+    __slots__ = ("num", "den")
+
+    def __new__(cls, coords):
         if isinstance(coords, RationalPoint):
-            object.__setattr__(self, "coords", coords.coords)
-            return
-        object.__setattr__(self, "coords", tuple(as_rational(c) for c in coords))
+            return coords  # immutable, so shared
+        vals = tuple(coords)
+        if all(type(c) is int for c in vals):
+            return _point(vals, 1)
+        vals = tuple(as_rational(c) for c in vals)
+        den = lcm(*(v.denominator for v in vals))
+        return _point(tuple(v.numerator * (den // v.denominator) for v in vals), den)
+
+    @classmethod
+    def from_numerators(cls, num, den: int) -> "RationalPoint":
+        """The point num/den for an integer tuple num and an integer den > 0,
+        reduced to lowest terms."""
+        if den != 1:
+            g = gcd(den, *num)
+            if g != 1:
+                num = tuple(a // g for a in num)
+                den //= g
+        return _point(tuple(num), den)
+
+    @property
+    def coords(self) -> tuple:
+        den = self.den
+        return tuple(Fraction(a, den) for a in self.num)
 
     @property
     def dim(self) -> int:
-        return len(self.coords)
+        return len(self.num)
 
     def __len__(self):
-        return len(self.coords)
+        return len(self.num)
 
     def __iter__(self):
         return iter(self.coords)
@@ -74,57 +105,81 @@ class RationalPoint:
 
     def __eq__(self, other):
         if isinstance(other, RationalPoint):
-            return self.coords == other.coords
+            return self.den == other.den and self.num == other.num
         if isinstance(other, tuple):
             return self.coords == tuple(Fraction(c) for c in other)
         return NotImplemented
 
     def __hash__(self):
-        return hash(self.coords)
+        # the hash of the Fraction coordinates; an int hashes like the
+        # equal Fraction, so integral points need none built
+        return hash(self.num) if self.den == 1 else hash(self.coords)
 
     def __setattr__(self, name, value):
         raise AttributeError("RationalPoint is immutable")
 
-    def __add__(self, other):
-        other = RationalPoint(other)
+    def _cross(self, other):
+        """self and other as numerator tuples over one common denominator
+        (the shared one, else the product of the two), and that
+        denominator."""
+        other = other if isinstance(other, RationalPoint) else RationalPoint(other)
         _check_same_dim(self, other)
-        return RationalPoint(tuple(a + b for a, b in zip(self.coords, other.coords)))
+        d1, d2 = self.den, other.den
+        if d1 == d2:
+            return self.num, other.num, d1
+        return (
+            tuple(a * d2 for a in self.num),
+            tuple(b * d1 for b in other.num),
+            d1 * d2,
+        )
+
+    def __add__(self, other):
+        a, b, den = self._cross(other)
+        return RationalPoint.from_numerators(tuple(p + q for p, q in zip(a, b)), den)
 
     def __sub__(self, other):
-        other = RationalPoint(other)
-        _check_same_dim(self, other)
-        return RationalPoint(tuple(a - b for a, b in zip(self.coords, other.coords)))
+        a, b, den = self._cross(other)
+        return RationalPoint.from_numerators(tuple(p - q for p, q in zip(a, b)), den)
 
     def scale(self, factor) -> "RationalPoint":
         f = as_rational(factor)
-        return RationalPoint(tuple(f * c for c in self.coords))
+        fn = f.numerator
+        return RationalPoint.from_numerators(tuple(fn * a for a in self.num), self.den * f.denominator)
 
     def is_integral(self) -> bool:
-        return all(c.denominator == 1 for c in self.coords)
+        return self.den == 1
 
     def as_int_tuple(self) -> tuple:
-        if not self.is_integral():
+        if self.den != 1:
             raise UsageError(f"{self} is not an integer point")
-        return tuple(int(c) for c in self.coords)
+        return self.num
 
     def floor(self) -> tuple:
-        return tuple(c.numerator // c.denominator for c in self.coords)
+        den = self.den
+        return tuple(a // den for a in self.num)
 
     def ceil(self) -> tuple:
-        return tuple(-((-c.numerator) // c.denominator) for c in self.coords)
+        den = self.den
+        return tuple(-(-a // den) for a in self.num)
 
     def linf_distance(self, other) -> Fraction:
-        other = RationalPoint(other)
-        _check_same_dim(self, other)
-        return max(abs(a - b) for a, b in zip(self.coords, other.coords))
+        a, b, den = self._cross(other)
+        return Fraction(max(abs(p - q) for p, q in zip(a, b)), den)
 
     def l2sq_distance(self, other) -> Fraction:
-        other = RationalPoint(other)
-        _check_same_dim(self, other)
-        return sum(((a - b) * (a - b) for a, b in zip(self.coords, other.coords)), Fraction(0))
+        a, b, den = self._cross(other)
+        return Fraction(sum((p - q) * (p - q) for p, q in zip(a, b)), den * den)
 
     def __repr__(self):
         return "(" + ", ".join(str(c) for c in self.coords) + ")"
+
+
+def _point(num: tuple, den: int) -> RationalPoint:
+    """The point num/den, trusted to be in lowest terms."""
+    p = object.__new__(RationalPoint)
+    object.__setattr__(p, "num", num)
+    object.__setattr__(p, "den", den)
+    return p
 
 
 def _check_same_dim(a: RationalPoint, b: RationalPoint):
@@ -143,12 +198,15 @@ def _as_lattice_point(p) -> tuple:
 class ConvexCombination:
     """Positive rational weights on lattice points, summing to one.
 
-    The certified target is the exact weighted point sum; it is computed
-    on construction and every invariant (positivity, total weight one)
-    is checked there, so a ConvexCombination that exists is valid.
+    The weights are kept as integer numerators ``nums``, aligned with
+    ``points()``, over one positive common denominator ``den`` in lowest
+    terms; ``support`` gives (point, Fraction weight) pairs.  The
+    certified target is the exact weighted point sum; it is computed on
+    construction and every invariant (positivity, total weight one) is
+    checked there, so a ConvexCombination that exists is valid.
     """
 
-    __slots__ = ("support", "target")
+    __slots__ = ("_points", "nums", "den", "target")
 
     def __init__(self, support: Iterable):
         merged = {}
@@ -156,43 +214,92 @@ class ConvexCombination:
             pt = _as_lattice_point(point)
             w = as_rational(weight)
             merged[pt] = merged.get(pt, Fraction(0)) + w
-        if not merged:
+        items = sorted(merged.items())
+        den = lcm(*(w.denominator for _, w in items))
+        self._init(
+            tuple(pt for pt, _ in items),
+            tuple(w.numerator * (den // w.denominator) for _, w in items),
+            den,
+        )
+
+    @classmethod
+    def from_numerators(cls, points, nums, den: int) -> "ConvexCombination":
+        """Weights nums/den on ``points``: integer points of one dimension
+        in strictly increasing order, and integer weight numerators over an
+        integer den > 0, reduced here to lowest terms."""
+        comb = object.__new__(cls)
+        comb._init(tuple(points), tuple(nums), den)
+        return comb
+
+    @classmethod
+    def from_payload(cls, points, payload) -> "ConvexCombination":
+        """The combination a kernel LP solution describes: ``payload`` lists
+        (column, num, den) with num/den > 0 reduced and columns increasing,
+        and ``points[column]`` is that column's lattice point."""
+        den = 1
+        for _, _, d in payload:
+            if d != den:
+                den = lcm(den, d)
+        return cls.from_numerators(
+            [points[col] for col, _, _ in payload],
+            [num * (den // d) for _, num, d in payload],
+            den,
+        )
+
+    def _init(self, points: tuple, nums: tuple, den: int):
+        """Check every invariant and set the fields; both constructors end here."""
+        if not points:
             raise UsageError("a convex combination needs a nonempty support")
-        dims = {len(p) for p in merged}
-        if len(dims) != 1:
-            raise UsageError("support points have mixed dimensions")
-        items = tuple(sorted(merged.items()))
-        total = Fraction(0)
-        for pt, w in items:
-            if w <= 0:
-                raise UsageError(f"nonpositive weight {w} on {pt}")
-            total += w
-        if total != 1:
-            raise UsageError(f"weights sum to {total}, not 1")
-        (n,) = dims
-        sums = [Fraction(0)] * n
-        for pt, w in items:
-            for i in range(n):
-                sums[i] += w * pt[i]
-        object.__setattr__(self, "support", items)
-        object.__setattr__(self, "target", RationalPoint(sums))
+        n = len(points[0])
+        for p, q in zip(points, points[1:]):
+            if len(q) != n:
+                raise UsageError("support points have mixed dimensions")
+            if p >= q:
+                raise UsageError("support points must be distinct and in increasing order")
+        g = gcd(den, *nums)
+        if g != 1:
+            nums = tuple(v // g for v in nums)
+            den //= g
+        if min(nums) <= 0:
+            for pt, v in zip(points, nums):
+                if v <= 0:
+                    raise UsageError(f"nonpositive weight {Fraction(v, den)} on {pt}")
+        total = sum(nums)
+        if total != den:
+            raise UsageError(f"weights sum to {Fraction(total, den)}, not 1")
+        if len(points) == 1:
+            target = _point(points[0], 1)
+        else:
+            sums = tuple([sum(map(mul, nums, col)) for col in zip(*points)])
+            target = RationalPoint.from_numerators(sums, den)
+        object.__setattr__(self, "_points", points)
+        object.__setattr__(self, "nums", nums)
+        object.__setattr__(self, "den", den)
+        object.__setattr__(self, "target", target)
+
+    @property
+    def support(self) -> tuple:
+        den = self.den
+        return tuple((pt, Fraction(v, den)) for pt, v in zip(self._points, self.nums))
 
     @property
     def dim(self) -> int:
         return self.target.dim
 
     def points(self):
-        return tuple(pt for pt, _ in self.support)
+        return self._points
 
     def __len__(self):
-        return len(self.support)
+        return len(self._points)
 
     def __iter__(self):
         return iter(self.support)
 
     def __eq__(self, other):
         if isinstance(other, ConvexCombination):
-            return self.support == other.support
+            return (
+                self._points == other._points and self.den == other.den and self.nums == other.nums
+            )
         return NotImplemented
 
     def __hash__(self):
@@ -204,6 +311,7 @@ class ConvexCombination:
     def __repr__(self):
         inner = ", ".join(f"{pt}: {w}" for pt, w in self.support)
         return f"ConvexCombination({{{inner}}})"
+
 
 
 def _point_list(points) -> list:
@@ -258,17 +366,20 @@ def _membership_lp(groups: list, x: RationalPoint):
     """Run the kernel LP for x as a sum of one convex combination per group.
 
     The rows are ``sum_g points_g @ lam_g = x``, one per coordinate and
-    each scaled to integers, then ``sum(lam_g) = 1``, one per group, with
-    ``lam >= 0``.  Columns run over the groups' points in order.  With a
-    single group this is hull membership of x in conv(points).
+    each scaled by that coordinate's own reduced denominator, then
+    ``sum(lam_g) = 1``, one per group, with ``lam >= 0``.  Columns run
+    over the groups' points in order.  With a single group this is hull
+    membership of x in conv(points).
     """
     columns = [p for points in groups for p in points]
     rows = []
     rhs = []
-    for i, xi in enumerate(x.coords):
-        den = xi.denominator
-        rows.append([p[i] * den for p in columns])
-        rhs.append(xi.numerator)
+    den = x.den
+    for i, a in enumerate(x.num):
+        g = gcd(a, den)
+        scale = den // g
+        rows.append([p[i] * scale for p in columns])
+        rhs.append(a // g)
     start = 0
     for points in groups:
         rows.append([0] * start + [1] * len(points) + [0] * (len(columns) - start - len(points)))
@@ -277,12 +388,13 @@ def _membership_lp(groups: list, x: RationalPoint):
     return _kernel.lp_feasible(rows, rhs)
 
 
-def _membership_support(points: list, x: RationalPoint):
-    """Support of a basic convex combination of ``points`` hitting x, or None."""
+def _membership_support(points: list, x: RationalPoint) -> Optional[ConvexCombination]:
+    """A basic convex combination of ``points`` (in increasing order)
+    hitting x, or None."""
     status, payload = _membership_lp([points], x)
     if status != "feasible":
         return None
-    return [(points[col], Fraction(num, den)) for col, num, den in payload]
+    return ConvexCombination.from_payload(points, payload)
 
 
 def hull_membership(points, x) -> Optional[ConvexCombination]:
@@ -299,17 +411,17 @@ def hull_membership(points, x) -> Optional[ConvexCombination]:
         raise UsageError(f"dimension mismatch: point set is {len(pts[0])}-d, x is {x.dim}-d")
     bbox = cached or [(min(p[i] for p in pts), max(p[i] for p in pts)) for i in range(x.dim)]
     # cheap exact rejections and the one-point fast path
-    for c, (lo, hi) in zip(x.coords, bbox):
-        if c < lo or c > hi:
+    den = x.den
+    for a, (lo, hi) in zip(x.num, bbox):
+        if a < lo * den or a > hi * den:
             return None
-    if x.is_integral():
-        xi = x.as_int_tuple()
+    if den == 1:
+        xi = x.num
         if xi in (points if cached else set(pts)):
-            return ConvexCombination([(xi, 1)])
-    support = _membership_support(pts, x)
-    if support is None:
+            return ConvexCombination.from_numerators((xi,), (1,), 1)
+    comb = _membership_support(pts, x)
+    if comb is None:
         return None
-    comb = ConvexCombination(support)
     if comb.target != x:
         raise InternalError(f"certificate target {comb.target} differs from {x}")
     return comb
@@ -329,41 +441,47 @@ def infeasibility_gap(points, x) -> Optional[Fraction]:
     return Fraction(num, den)
 
 
-def _reduce_support(columns: list, weights: list):
+def _reduce_support(columns: list, weights: list, den: int):
     """Pivot weight along exact null directions until the active columns
     are linearly independent.
 
     ``columns`` are integer tuples (stacked coordinates), ``weights``
-    positive Fractions.  Returns the surviving (column_index, weight)
-    pairs.  Each round finds an affine dependency and drives at least one
-    weight to zero, so at most len(columns) rounds run.
+    positive integers over the common denominator ``den``.  Returns the
+    surviving (column_index, weight) pairs and their new common
+    denominator.  Each round finds an affine dependency and drives at
+    least one weight to zero, so at most len(columns) rounds run.
     """
     active = list(range(len(columns)))
-    w = {i: weights[i] for i in active}
+    w = list(weights)
     height = len(columns[0])
     while True:
         rows = [[columns[i][r] for i in active] for r in range(height)]
         null = _kernel.nullspace_vector(rows)
         if null is None:
-            return [(i, w[i]) for i in active]
+            return [(i, w[i]) for i in active], den
         if all(v <= 0 for v in null):
             null = [-v for v in null]
-        step = None
+        # the step is the least ratio w_i / v_i over v_i > 0, kept as the
+        # integer pair (step_num, step_den)
+        step_num = step_den = 0
         for i, v in zip(active, null):
-            if v > 0:
-                ratio = w[i] / v
-                if step is None or ratio < step:
-                    step = ratio
+            if v > 0 and (step_den == 0 or w[i] * step_den < step_num * v):
+                step_num, step_den = w[i], v
+        # new weights w - step * v, over den * step_den
         survivors = []
         for i, v in zip(active, null):
-            nw = w[i] - step * v
+            nw = w[i] * step_den - step_num * v
             if nw < 0:
                 raise InternalError("negative weight during support reduction")
             if nw > 0:
                 w[i] = nw
                 survivors.append(i)
-            else:
-                del w[i]
+        den *= step_den
+        g = gcd(den, *(w[i] for i in survivors))
+        if g != 1:
+            for i in survivors:
+                w[i] //= g
+            den //= g
         active = survivors
 
 
@@ -382,10 +500,11 @@ def caratheodory_reduce(comb: ConvexCombination, dim: Optional[int] = None) -> C
         raise UsageError(f"combination lives in dimension {n}, not {dim}")
     if len(comb) <= n + 1:
         return comb
-    columns = [pt + (1,) for pt, _ in comb.support]
-    weights = [wt for _, wt in comb.support]
-    kept = _reduce_support(columns, weights)
-    reduced = ConvexCombination([(comb.support[i][0], wt) for i, wt in kept])
+    points = comb.points()
+    kept, den = _reduce_support([pt + (1,) for pt in points], comb.nums, comb.den)
+    reduced = ConvexCombination.from_numerators(
+        [points[i] for i, _ in kept], [wt for _, wt in kept], den
+    )
     if reduced.target != comb.target:
         raise InternalError("support reduction moved the target")
     if len(reduced) > n + 1:

@@ -29,6 +29,7 @@ only to test whether an integral x is itself a sum point.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 from typing import Optional, Sequence
 
 from .bounds import bound_pair
@@ -185,15 +186,15 @@ def decompose_into_summand_hulls(sets: Sequence[LatticeSet], x) -> list:
             f"{x} is outside the hull of the sum (phase-1 infeasibility gap {gap})",
             witness=x,
         )
-    owners = [(i, p) for i, points in enumerate(groups) for p in points]
+    columns = [p for points in groups for p in points]
+    owners = [i for i, points in enumerate(groups) for _ in points]
     per_set: list = [[] for _ in sets]
-    for col, num, den in payload:
-        i, p = owners[col]
-        per_set[i].append((p, Fraction(num, den)))
+    for entry in payload:
+        per_set[owners[entry[0]]].append(entry)
     out = []
     total = RationalPoint([0] * n)
-    for support in per_set:
-        part = ConvexCombination(support)
+    for entries in per_set:
+        part = ConvexCombination.from_payload(columns, entries)
         out.append((part.target, part))
         total = total + part.target
     if total != x:
@@ -219,17 +220,17 @@ def local_restrictions(sets: Sequence[LatticeSet], ys: Sequence) -> list:
             raise UsageError("dimension mismatch between summand and hull point")
         local = s.intersect_points(integral_neighborhood(y).members)
         if not len(local):
-            support = None
+            cert = None
         elif y.is_integral():
-            support = [(local.points[0], Fraction(1))]
+            cert = ConvexCombination.from_numerators(local.points, (1,), 1)
         else:
-            support = _membership_support(list(local.points), y)
-        if support is None:
+            cert = _membership_support(list(local.points), y)
+        if cert is None:
             raise DomainError(
                 f"summand {i} is not integrally convex: {y} has no local certificate",
                 witness=y,
             )
-        out.append((local, ConvexCombination(support)))
+        out.append((local, cert))
     return out
 
 
@@ -240,7 +241,9 @@ def sf_decompose(ts: Sequence[LatticeSet], x, certs: Sequence[ConvexCombination]
     per coordinate; driving the given feasible weights to a basic
     solution leaves at most min(n, m) summands with more than one
     support point.  Those form I (hull points); the rest contribute a
-    single lattice point each and form J.
+    single lattice point each and form J.  With one summand, |I| <= 1
+    holds as given, so its certificate is kept unchanged, without a
+    pivot.
     """
     x = RationalPoint(x)
     ts = list(ts)
@@ -255,24 +258,30 @@ def sf_decompose(ts: Sequence[LatticeSet], x, certs: Sequence[ConvexCombination]
             raise UsageError("certificates must be ConvexCombination values")
         if cert.dim != n or s.dim != n:
             raise UsageError("dimension mismatch in decomposition input")
-        for p, _ in cert.support:
+        for p in cert.points():
             if p not in s:
                 raise UsageError(f"certificate point {p} is not in its summand")
         total = total + cert.target
     if total != x:
         raise UsageError(f"certificates sum to {total}, not {x}")
 
+    if m == 1:
+        (cert,) = certs
+        if len(cert) == 1:
+            return SfDecomposition(x, {}, {0: cert.points()[0]})
+        return SfDecomposition(x, {0: cert}, {})
+    den = lcm(*(cert.den for cert in certs))
     columns = []
     weights = []
     owners = []
     for i, cert in enumerate(certs):
-        marker = [0] * m
-        marker[i] = 1
-        for p, wt in cert.support:
-            columns.append(tuple(marker) + p)
-            weights.append(wt)
+        marker = (0,) * i + (1,) + (0,) * (m - i - 1)
+        scale = den // cert.den
+        for p, wt in zip(cert.points(), cert.nums):
+            columns.append(marker + p)
+            weights.append(wt * scale)
             owners.append((i, p))
-    kept = _reduce_support(columns, weights)
+    kept, den = _reduce_support(columns, weights, den)
     per_set: list = [[] for _ in range(m)]
     for idx, wt in kept:
         i, p = owners[idx]
@@ -280,10 +289,12 @@ def sf_decompose(ts: Sequence[LatticeSet], x, certs: Sequence[ConvexCombination]
     fractional = {}
     integral = {}
     for i, sup in enumerate(per_set):
-        if len(sup) == 1 and sup[0][1] == 1:
+        if len(sup) == 1 and sup[0][1] == den:
             integral[i] = sup[0][0]
         else:
-            fractional[i] = ConvexCombination(sup)
+            fractional[i] = ConvexCombination.from_numerators(
+                [p for p, _ in sup], [wt for _, wt in sup], den
+            )
     return SfDecomposition(x, fractional, integral)
 
 
@@ -307,7 +318,7 @@ def cube_round(s: LatticeSet, x, cert: ConvexCombination) -> tuple:
             raise UsageError("set is not contained in a translated unit cube")
     if not isinstance(cert, ConvexCombination) or cert.target != x:
         raise UsageError("certificate does not certify x")
-    for p, _ in cert.support:
+    for p in cert.points():
         if p not in s:
             raise UsageError(f"certificate point {p} is outside the set")
     best = None

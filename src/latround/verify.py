@@ -119,6 +119,13 @@ def rounding_instances(seed: int, count: int):
     then filtered in 3-d), and x a random rational combination of sum
     points, snapped to an integral hull point about a third of the time.
     """
+    for sets, x, index, _ in _rounding_instances(seed, count):
+        yield sets, x, index
+
+
+def _rounding_instances(seed: int, count: int):
+    """The stream of ``rounding_instances``, each with its witnessed sum
+    W: (sets, x, index, W)."""
     for index in range(count):
         rng = random.Random(seed * 9_176_941 + index + 1)
         n = rng.choice([2, 3])
@@ -147,7 +154,7 @@ def rounding_instances(seed: int, count: int):
             snapped = tuple(x.floor())
             if hull_membership(w.result, snapped) is not None:
                 x = RationalPoint(snapped)
-        yield sets, x, index
+        yield sets, x, index, w
 
 
 def run_rounding_suite(seed: int = 42, instances: int = 200) -> list:
@@ -158,12 +165,11 @@ def run_rounding_suite(seed: int = 42, instances: int = 200) -> list:
     decomp = InvariantReport("basic split: |I| <= min(n, m), exact rebuild")
     pipeline_in_sum = InvariantReport("rounded points are sum points")
     oracle_opt = InvariantReport("global scan confirms the bound")
-    for sets, x, index in rounding_instances(seed, instances):
+    for sets, x, index, w in _rounding_instances(seed, instances):
         n = sets[0].dim
         m = len(sets)
         pair = bound_pair(n, m)
         tag = (seed, index)
-        w = minkowski_sum(sets)
         res_inf = sf_round_linf(sets, x, verify=False)
         res_l2 = sf_round_l2(sets, x, verify=False)
         integral = x.is_integral()

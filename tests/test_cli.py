@@ -1,7 +1,11 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import latround
 from latround import UsageError
 from latround.cli import main
 from latround.minkowski import enumeration_budget
@@ -235,3 +239,33 @@ def test_round_output_deterministic(hole_files, capsys):
     first = capsys.readouterr().out
     main(["round", *hole_files, "--x", "1,1", "--class", "ic"])
     assert capsys.readouterr().out == first
+
+
+def _run_alone(argv):
+    """Exit code, stdout and stderr of ``main(argv)`` in a fresh process."""
+    src = os.path.dirname(os.path.dirname(latround.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    code = "import sys; from latround.cli import main; sys.exit(main(sys.argv[1:]))"
+    proc = subprocess.run(
+        [sys.executable, "-c", code, *argv], capture_output=True, text=True, env=env, timeout=120
+    )
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+def test_one_parser_serves_a_sequence_of_calls(hole_files, capsys):
+    sequence = [
+        ["check", hole_files[0], "--class", "ic"],
+        ["round", *hole_files, "--x", "1,1", "--norm", "best"],
+        ["round", *hole_files, "--norm", "l3", "--x", "1,1"],  # malformed: exit 2
+        ["bounds", "--n-list", "2", "3", "--m-list", "1", "2"],
+    ]
+    in_process = []
+    for argv in sequence:
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        out = capsys.readouterr()
+        in_process.append((code, out.out, out.err))
+    assert [code for code, _, _ in in_process] == [0, 0, 2, 0]
+    assert in_process == [_run_alone(argv) for argv in sequence]

@@ -203,6 +203,39 @@ def test_sf_decompose_rejects_foreign_points():
         sf_decompose([t], (1, 1), [cert])
 
 
+def test_sf_decompose_one_summand_keeps_its_certificate(monkeypatch):
+    # with one summand the local certificate is already basic, so the
+    # decomposition reuses it without a pivot (no null-space call); the
+    # pivot it skips is shown to be a no-op on the same certificates
+    import latround._kernel as kernel
+    from latround.exact_geometry import _reduce_support
+
+    rng = random.Random(61)
+    seen = {True: 0, False: 0}
+    for _ in range(60):
+        n = rng.choice([2, 3])
+        w = minkowski_sum([_random_mnat_set(rng, n) for _ in range(rng.randint(1, 3))]).result
+        x = _random_hull_point(rng, w)
+        ((t, cert),) = local_restrictions([w], [x])
+        columns = [(1,) + p for p in cert.points()]
+        assert _reduce_support(columns, cert.nums, cert.den) == (
+            list(enumerate(cert.nums)),
+            cert.den,
+        )
+        calls = []
+        original = kernel.nullspace_vector
+        monkeypatch.setattr(kernel, "nullspace_vector", lambda rows: calls.append(rows) or original(rows))
+        dec = sf_decompose([t], x, [cert])
+        monkeypatch.setattr(kernel, "nullspace_vector", original)
+        assert calls == []
+        if len(cert) == 1:
+            assert dec.fractional == {} and dec.integral == {0: cert.points()[0]}
+        else:
+            assert dec.integral == {} and dec.fractional[0] is cert
+        seen[len(cert) == 1] += 1
+    assert seen[True] >= 5 and seen[False] >= 5
+
+
 # --------------------------------------------------------------- cube_round
 
 
@@ -544,3 +577,17 @@ def test_randomized_bounds_small():
         # the oracle's global optimum is never beaten, and meets the bound
         _, best_inf = oracle_nearest(w, x, "linf")
         assert best_inf <= res_inf.distance_linf
+
+
+def test_rounding_suite_builds_each_sum_once(monkeypatch):
+    import latround.verify as verify
+
+    calls = []
+    original = verify.minkowski_sum
+    monkeypatch.setattr(verify, "minkowski_sum", lambda sets: calls.append(1) or original(sets))
+    reports = verify.run_rounding_suite(3, 25)
+    assert len(calls) == 25
+    assert [(r.checked, r.failures) for r in reports] == [
+        (25, []), (14, []), (25, []), (25, []), (25, []), (25, [])
+    ]
+    assert all(len(item) == 3 for item in rounding_instances(3, 5))
