@@ -4,16 +4,21 @@ A LatticeSet is a finite set of integer points.  The predicates decide
 integral convexity, hole-freeness, exchange-property convexity (the
 "Mnat" class) and discrete midpoint convexity (the "Lnat" class), each
 with an exact witness when the answer is negative.  Integral convexity
-is decided by the pairwise midpoint characterisation, one exact
-membership certificate per pair of points at max-norm distance >= 2.
+is decided by the pairwise midpoint characterisation.  Each midpoint
+question reduces to whether the centre of a unit cube lies in the hull
+of a pattern of its corners; the verdict depends on the pattern alone,
+so each pattern is decided by one exact kernel LP and the boolean is
+kept in a bounded per-process cache.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
 from itertools import product
+from operator import add, sub
 from typing import Iterable, Optional
 
-from .errors import UsageError
+from .errors import BudgetError, UsageError, enumeration_budget
 from .exact_geometry import RationalPoint, _membership_support
 from .exact_geometry import hull_facets  # noqa: F401  bench/selftest.py resolves it here
 
@@ -68,6 +73,10 @@ class LatticeSet:
 
     def __setattr__(self, name, value):
         raise AttributeError("LatticeSet is immutable")
+
+    def __reduce__(self):
+        # copy and pickle rebuild through the validating constructor
+        return (LatticeSet, (self.points, self.dim, not self.points))
 
     def __contains__(self, p):
         return tuple(p) in self._index
@@ -144,6 +153,26 @@ def _require_nonempty(s: LatticeSet):
         raise UsageError("predicate is undefined for the empty set")
 
 
+# The unit k-cube has 2^(2^k) patterns of corners, 278 in all for k <= 3,
+# so every pattern of a set in dimension n <= 3 stays cached.
+_PATTERN_CACHE_SIZE = 4096
+
+
+@lru_cache(maxsize=_PATTERN_CACHE_SIZE)
+def _centre_in_hull(pattern: tuple) -> bool:
+    """Whether the centre (1/2, ..., 1/2) of the unit k-cube lies in the
+    hull of the corners that ``pattern`` flags.
+
+    ``pattern`` holds one bool per corner of {0,1}^k, the corners in
+    the lexicographic order of ``product((0, 1), repeat=k)``, so its
+    length 2^k gives k.  At least one corner is flagged.  Decided by the
+    exact kernel LP; only the verdict is kept.
+    """
+    k = len(pattern).bit_length() - 1
+    corners = [c for c, hit in zip(product((0, 1), repeat=k), pattern) if hit]
+    return _membership_support(corners, RationalPoint.from_numerators((1,) * k, 2)) is not None
+
+
 def integral_convexity_witness(s: LatticeSet) -> Optional[RationalPoint]:
     """A hull point missing from its local hull, or None when s is
     integrally convex.
@@ -158,20 +187,44 @@ def integral_convexity_witness(s: LatticeSet) -> Optional[RationalPoint]:
     skipped: x and y then both lie in N((x + y)/2), so the midpoint is
     in the local hull trivially.
 
+    Each midpoint question depends only on a unit-cube pattern.  Let k
+    be the number of coordinates where x_i + y_i is odd.  N(mid) is the
+    k-dimensional face of the unit cube at floor(mid), and mid is its
+    centre.  Translating by floor(mid) and dropping the n - k fixed
+    coordinates maps S ∩ N(mid) onto a pattern T ⊆ {0,1}^k and mid onto
+    (1/2, ..., 1/2); this affine map is one-to-one on the face, so hull
+    membership is the same on both sides.  Each pattern's verdict is
+    decided once by an exact LP and kept, as a boolean, in a cache of at
+    most _PATTERN_CACHE_SIZE patterns; for k <= 3 there are at most 278
+    patterns, whatever n is.
+
     The witness is the midpoint of the first failing pair (x, y), x
     before y, in the lexicographic order of s.points: its local slice
-    is empty or has no exact membership certificate for it.
+    is empty or does not have it in its hull.  Raises BudgetError when
+    the |S|(|S| - 1)/2 pairs exceed the enumeration budget.
     """
     _require_nonempty(s)
     pts = s.points
+    pairs = len(pts) * (len(pts) - 1) // 2
+    limit = enumeration_budget()
+    if pairs > limit:
+        raise BudgetError(
+            f"the midpoint test needs {pairs} pairs, over the budget of {limit}",
+            budget=limit,
+            required=pairs,
+        )
+    index = s._index
     for i, x in enumerate(pts):
         for y in pts[i + 1 :]:
-            if max(abs(a - b) for a, b in zip(x, y)) <= 1:
+            if max(map(abs, map(sub, x, y))) <= 1:
                 continue
-            mid = RationalPoint.from_numerators(tuple(a + b for a, b in zip(x, y)), 2)
-            local = [p for p in integral_neighborhood(mid) if p in s]
-            if not local or _membership_support(local, mid) is None:
-                return mid
+            sums = tuple(map(add, x, y))
+            # the face N(mid): floor and ceil of each coordinate of mid
+            face = [(v >> 1,) if v & 1 == 0 else (v >> 1, (v >> 1) + 1) for v in sums]
+            pattern = tuple([p in index for p in product(*face)])
+            if True in pattern and _centre_in_hull(pattern):
+                continue
+            return RationalPoint.from_numerators(sums, 2)
     return None
 
 
@@ -207,24 +260,27 @@ def mnat_violation(s: LatticeSet) -> Optional[tuple]:
     _require_nonempty(s)
     n = s.dim
     pts = s.points
-    for x in pts:
-        for y in pts:
+    index = s._index
+    units = [tuple(int(k == i) for k in range(n)) for i in range(n)]
+    # x - e_i and y + e_i with their membership, once per point and i
+    down = [[tuple(map(sub, p, e)) for e in units] for p in pts]
+    up = [[tuple(map(add, p, e)) for e in units] for p in pts]
+    down_in = [[q in index for q in row] for row in down]
+    up_in = [[q in index for q in row] for row in up]
+    for x, xm, xm_in in zip(pts, down, down_in):
+        for y, yp, yp_in in zip(pts, up, up_in):
             for i in range(n):
-                if x[i] <= y[i]:
+                if x[i] <= y[i] or (xm_in[i] and yp_in[i]):
                     continue
-                xm = tuple(v - (k == i) for k, v in enumerate(x))
-                yp = tuple(v + (k == i) for k, v in enumerate(y))
-                if xm in s and yp in s:
-                    continue
-                ok = False
+                xmi, ypi = xm[i], yp[i]
                 for j in range(n):
-                    if x[j] < y[j]:
-                        xmj = tuple(v - (k == i) + (k == j) for k, v in enumerate(x))
-                        ypj = tuple(v + (k == i) - (k == j) for k, v in enumerate(y))
-                        if xmj in s and ypj in s:
-                            ok = True
-                            break
-                if not ok:
+                    if (
+                        x[j] < y[j]
+                        and tuple(map(add, xmi, units[j])) in index
+                        and tuple(map(sub, ypi, units[j])) in index
+                    ):
+                        break
+                else:
                     return (x, y, i)
     return None
 

@@ -1,4 +1,9 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the enumeration budget
+that decides when a scan raises BudgetError."""
+
+import os
+
+DEFAULT_BUDGET = 10_000_000
 
 
 class UsageError(ValueError):
@@ -28,3 +33,17 @@ class BudgetError(RuntimeError):
 
 class InternalError(RuntimeError):
     """A guaranteed invariant failed; indicates a bug upstream, not bad input."""
+
+
+def enumeration_budget() -> int:
+    """Work budget for enumerating scans; LATROUND_BUDGET overrides it."""
+    raw = os.environ.get("LATROUND_BUDGET")
+    if not raw:
+        return DEFAULT_BUDGET
+    try:
+        budget = int(raw)
+    except ValueError:
+        budget = 0
+    if budget < 1:
+        raise UsageError(f"LATROUND_BUDGET must be a positive integer, got {raw!r}")
+    return budget

@@ -118,6 +118,10 @@ class RationalPoint:
     def __setattr__(self, name, value):
         raise AttributeError("RationalPoint is immutable")
 
+    def __reduce__(self):
+        # copy and pickle rebuild through the validating constructor
+        return (RationalPoint, (self.coords,))
+
     def _cross(self, other):
         """self and other as numerator tuples over one common denominator
         (the shared one, else the product of the two), and that
@@ -308,10 +312,13 @@ class ConvexCombination:
     def __setattr__(self, name, value):
         raise AttributeError("ConvexCombination is immutable")
 
+    def __reduce__(self):
+        # copy and pickle rebuild through __init__, which checks every invariant
+        return (ConvexCombination, (self.support,))
+
     def __repr__(self):
         inner = ", ".join(f"{pt}: {w}" for pt, w in self.support)
         return f"ConvexCombination({{{inner}}})"
-
 
 
 def _point_list(points) -> list:

@@ -2,31 +2,14 @@
 
 from __future__ import annotations
 
-import os
 from itertools import product
 from typing import Iterable, Sequence
 
 from .discrete_sets import LatticeSet
-from .errors import BudgetError, UsageError
+from .errors import DEFAULT_BUDGET, BudgetError, UsageError, enumeration_budget
 from .exact_geometry import RationalPoint, _membership_support
 
-DEFAULT_BUDGET = 10_000_000
-
 __all__ = ["WitnessedSum", "minkowski_sum", "find_holes", "DEFAULT_BUDGET"]
-
-
-def enumeration_budget() -> int:
-    """Tuple budget for sum enumeration; LATROUND_BUDGET overrides it."""
-    raw = os.environ.get("LATROUND_BUDGET")
-    if not raw:
-        return DEFAULT_BUDGET
-    try:
-        budget = int(raw)
-    except ValueError:
-        budget = 0
-    if budget < 1:
-        raise UsageError(f"LATROUND_BUDGET must be a positive integer, got {raw!r}")
-    return budget
 
 
 class WitnessedSum:

@@ -109,7 +109,8 @@ class RoundingResult:
 
     Distances are recomputed from x and z on construction; whichever
     bounds are supplied are checked right here, so a RoundingResult that
-    exists honors its bounds.
+    exists honors its bounds; a copied or unpickled one is rebuilt here
+    too.  Two results are equal when x, z, the tag and both bounds are.
     """
 
     __slots__ = (
@@ -152,6 +153,21 @@ class RoundingResult:
 
     def __setattr__(self, name, value):
         raise AttributeError("RoundingResult is immutable")
+
+    def _key(self):
+        return (self.x, self.z, self.theorem_tag, self.bound_linf, self.bound_l2_sq)
+
+    def __eq__(self, other):
+        if isinstance(other, RoundingResult):
+            return self._key() == other._key()
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __reduce__(self):
+        # copy and pickle rebuild through __init__, which re-asserts the bounds
+        return (RoundingResult, self._key())
 
     def __repr__(self):
         return (

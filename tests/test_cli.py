@@ -51,6 +51,15 @@ def test_check_unit_square_subset_passes(tmp_path, capsys):
     assert "pass" in capsys.readouterr().out
 
 
+def test_check_ic_over_the_pair_budget_exits_3(tmp_path, capsys, monkeypatch):
+    path = write(tmp_path, "s.json", {"dim": 2, "points": [[0, 0], [1, 0], [0, 1], [1, 1]]})
+    monkeypatch.setenv("LATROUND_BUDGET", "5")
+    assert main(["check", path, "--class", "ic"]) == 3
+    captured = capsys.readouterr()
+    assert "6 pairs" in captured.err and "Traceback" not in captured.err
+    assert captured.out == ""
+
+
 def test_check_malformed_file(tmp_path, capsys):
     path = tmp_path / "bad.json"
     path.write_text("{not json")

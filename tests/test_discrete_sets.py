@@ -4,6 +4,7 @@ from itertools import product
 import pytest
 
 from latround import (
+    BudgetError,
     LatticeSet,
     UsageError,
     find_hole,
@@ -112,6 +113,16 @@ def test_integral_convexity_agrees_with_oracle_seeded():
     assert verdicts == {True, False}
 
 
+def test_midpoint_test_budgets_its_pairs(monkeypatch):
+    s = LatticeSet([(0, 0), (1, 0), (2, 0), (0, 2)])
+    monkeypatch.setenv("LATROUND_BUDGET", "5")
+    with pytest.raises(BudgetError) as err:
+        integral_convexity_witness(s)
+    assert err.value.required == 6 and err.value.budget == 5
+    monkeypatch.setenv("LATROUND_BUDGET", "6")
+    assert integral_convexity_witness(s).coords == (0, 1)
+
+
 def test_hole_free_examples():
     assert find_hole(LatticeSet(HOLE_SUM_POINTS)) == (1, 1)
     assert find_hole(LatticeSet(TRIPLE_SUM_POINTS)) == (1, 1, 1)
@@ -123,6 +134,45 @@ def test_mnat_examples():
     assert not is_mnat_convex(LatticeSet([(0, 0), (1, 1)]))
     assert mnat_violation(LatticeSet([(0, 0), (1, 1)])) == ((1, 1), (0, 0), 0)
     assert is_mnat_convex(LatticeSet([(0, 0), (1, 0), (0, 1)]))
+
+
+def reference_mnat_violation(s):
+    """The first (x, y, i) in loop order without an exchange, written out."""
+    n = s.dim
+
+    def moved(p, plus, minus):
+        return tuple(v + (k == plus) - (k == minus) for k, v in enumerate(p))
+
+    for x in s:
+        for y in s:
+            for i in range(n):
+                if x[i] <= y[i]:
+                    continue
+                if moved(x, None, i) in s and moved(y, i, None) in s:
+                    continue
+                if not any(
+                    x[j] < y[j] and moved(x, j, i) in s and moved(y, i, j) in s
+                    for j in range(n)
+                ):
+                    return (x, y, i)
+    return None
+
+
+def test_mnat_violation_matches_the_reference_seeded():
+    import random
+
+    rng = random.Random(5)
+    sets = [LatticeSet(raw) for raw in all_subsets(list(product(range(3), repeat=2)))]
+    for _ in range(300):
+        n = rng.choice((2, 3, 4))
+        sets.append(
+            LatticeSet(
+                tuple(rng.randint(-1, 2) for _ in range(n)) for _ in range(rng.randint(1, 8))
+            )
+        )
+    found = [mnat_violation(s) for s in sets]
+    assert found == [reference_mnat_violation(s) for s in sets]
+    assert None in found and any(v is not None for v in found)
 
 
 def test_lnat_examples():

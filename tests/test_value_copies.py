@@ -1,0 +1,72 @@
+"""Copies and pickles of the value types rebuild through their constructors.
+
+A copy is equal to the original, hashes and prints the same; a pickle
+that breaks an invariant fails on load with the constructor's error.
+"""
+
+import copy
+import pickle
+from fractions import Fraction
+
+import pytest
+
+from latround import ConvexCombination, LatticeSet, RationalPoint, UsageError, sf_round_linf
+from latround.errors import InternalError
+from latround.shapley_folkman import RoundingResult
+
+
+def values():
+    half = Fraction(1, 2)
+    return [
+        RationalPoint((half, -3, Fraction(2, 3))),
+        RationalPoint((4, 0)),
+        ConvexCombination([((0, 0), Fraction(1, 3)), ((1, 1), Fraction(2, 3))]),
+        LatticeSet([(0, 1), (2, 2), (1, 0)]),
+        LatticeSet([], dim=3, allow_empty=True),
+        sf_round_linf(
+            [LatticeSet([(0, 0), (1, 1)]), LatticeSet([(1, 0), (0, 1)])], (half, half)
+        ),
+        RoundingResult((half, 0), (0, 0), "ic-linf", half, None),
+    ]
+
+
+def copies(value):
+    yield copy.copy(value)
+    yield copy.deepcopy(value)
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+        yield pickle.loads(pickle.dumps(value, protocol=protocol))
+
+
+@pytest.mark.parametrize("value", values(), ids=lambda v: type(v).__name__)
+def test_value_survives_copy_and_pickle(value):
+    for twin in copies(value):
+        assert type(twin) is type(value)
+        assert twin == value
+        assert hash(twin) == hash(value)
+        assert repr(twin) == repr(value)
+
+
+class _Forged:
+    """Pickles as a call to ``cls`` with ``args``, as a tampered file would."""
+
+    def __init__(self, cls, *args):
+        self.cls, self.args = cls, args
+
+    def __reduce__(self):
+        return (self.cls, self.args)
+
+
+@pytest.mark.parametrize(
+    "forged, error",
+    [
+        (_Forged(ConvexCombination, (((0,), Fraction(1, 2)), ((1,), Fraction(1, 3)))), UsageError),
+        (_Forged(LatticeSet, ((0,), (1, 2)), None, False), UsageError),
+        (_Forged(RationalPoint, (0.5,)), UsageError),
+        # max-norm distance 1 over a bound of 1/2
+        (_Forged(RoundingResult, (0, 0), (1, 0), "ic-linf", Fraction(1, 2), None), InternalError),
+    ],
+)
+def test_invalid_pickle_fails_on_load(forged, error):
+    data = pickle.dumps(forged)
+    with pytest.raises(error):
+        pickle.loads(data)
