@@ -262,15 +262,22 @@ def mnat_violation(s: LatticeSet) -> Optional[tuple]:
     pts = s.points
     index = s._index
     units = [tuple(int(k == i) for k in range(n)) for i in range(n)]
-    # x - e_i and y + e_i with their membership, once per point and i
-    down = [[tuple(map(sub, p, e)) for e in units] for p in pts]
-    up = [[tuple(map(add, p, e)) for e in units] for p in pts]
-    down_in = [[q in index for q in row] for row in down]
-    up_in = [[q in index for q in row] for row in up]
-    for x, xm, xm_in in zip(pts, down, down_in):
-        for y, yp, yp_in in zip(pts, up, up_in):
+    # x - e_i once per x, and y + e_i once per y on first use, each with
+    # its membership in s
+    ups = {}
+    for x in pts:
+        xm = [tuple(map(sub, x, e)) for e in units]
+        xm_in = [q in index for q in xm]
+        for y in pts:
             for i in range(n):
-                if x[i] <= y[i] or (xm_in[i] and yp_in[i]):
+                if x[i] <= y[i]:
+                    continue
+                up = ups.get(y)
+                if up is None:
+                    row = [tuple(map(add, y, e)) for e in units]
+                    up = ups[y] = (row, [q in index for q in row])
+                yp, yp_in = up
+                if xm_in[i] and yp_in[i]:
                     continue
                 xmi, ypi = xm[i], yp[i]
                 for j in range(n):
