@@ -262,16 +262,18 @@ def mnat_violation(s: LatticeSet) -> Optional[tuple]:
     pts = s.points
     index = s._index
     units = [tuple(int(k == i) for k in range(n)) for i in range(n)]
-    # x - e_i once per x, and y + e_i once per y on first use, each with
-    # its membership in s
+    # x - e_i and y + e_i with their membership in s, built on first use,
+    # once per x and once per y
     ups = {}
     for x in pts:
-        xm = [tuple(map(sub, x, e)) for e in units]
-        xm_in = [q in index for q in xm]
+        xm = None
         for y in pts:
             for i in range(n):
                 if x[i] <= y[i]:
                     continue
+                if xm is None:
+                    xm = [tuple(map(sub, x, e)) for e in units]
+                    xm_in = [q in index for q in xm]
                 up = ups.get(y)
                 if up is None:
                     row = [tuple(map(add, y, e)) for e in units]
