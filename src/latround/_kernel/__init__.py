@@ -1,28 +1,11 @@
-"""Kernel backend selection.
+"""The exact integer kernel: phase-1 simplex, null vectors, square solves.
 
-The compiled Cython kernel is preferred; the pure Python twin is the
-fallback.  Setting LATROUND_PURE=1 forces the pure backend, which is
-useful for benchmarking and for debugging the compiled module.
+There is one implementation, the pure Python one in ``pure``; ``BACKEND``
+names it.
 """
 
-import os
+from latround._kernel.pure import lp_feasible, nullspace_vector, solve_square
 
-if os.environ.get("LATROUND_PURE"):
-    from latround._kernel import pure as _impl
-
-    BACKEND = "pure"
-else:
-    try:
-        from latround._kernel import _speedups as _impl
-
-        BACKEND = "compiled"
-    except ImportError:
-        from latround._kernel import pure as _impl
-
-        BACKEND = "pure"
-
-lp_feasible = _impl.lp_feasible
-nullspace_vector = _impl.nullspace_vector
-solve_square = _impl.solve_square
+BACKEND = "pure"
 
 __all__ = ["lp_feasible", "nullspace_vector", "solve_square", "BACKEND"]

@@ -1,19 +1,26 @@
-"""Exact integer pivoting kernels, pure Python edition.
+"""Exact integer pivoting kernels, in pure Python.
 
 Apart from the independent oracles, these routines are the package's only
-exact elimination.  ``lp_feasible`` decides every hull-membership
-certificate (and so every integral-convexity verdict) and the stacked
-per-summand split of the rounding pipelines; ``nullspace_vector`` drives
-the support reduction of ``sf_decompose`` and ``caratheodory_reduce`` and
-the rank tests of ``hull_facets``; ``solve_square`` has no caller in the
-package.  Callers pass integer rows and read integer results: a solution
-comes back as reduced (num, den) pairs, which the geometry layer keeps as
-integer numerators over one common denominator.  All arithmetic is on
-Python integers, so results are exact at any magnitude, and every
-eliminated row is divided by the gcd of its entries to keep them small.
-``latround._kernel`` swaps in the compiled twin (``_speedups``) when it is
-available; both implementations must stay behaviourally identical,
-including tie-breaking.
+exact elimination, and this is their only implementation.
+``lp_feasible`` decides every hull-membership certificate (and so every
+integral-convexity verdict) and the stacked per-summand split of the
+rounding pipelines; ``nullspace_vector`` drives the support reduction of
+``sf_decompose`` and ``caratheodory_reduce`` and the rank tests of
+``hull_facets``; ``solve_square`` has no caller in the package.  Callers
+pass integer rows and read integer results: a solution comes back as
+reduced (num, den) pairs, which the geometry layer keeps as integer
+numerators over one common denominator.  All arithmetic is on Python
+integers, so results are exact at any magnitude, and every eliminated row
+is divided by the gcd of its entries to keep them small.
+
+``lp_feasible`` starts phase 1 from a crash basis: a row i for which some
+column is a positive multiple of the unit vector e_i starts with the first
+such column basic, and needs no artificial variable.  The membership LPs
+are written so that every convex-weight row has one (see
+``exact_geometry._membership_lp``), so phase 1 only pivots out the
+coordinate rows' artificials.  The infeasibility gap it reports is the
+phase-1 optimum over those remaining artificials: exact and positive, but
+not comparable with a gap taken with an artificial on every row.
 """
 
 from math import gcd
@@ -39,27 +46,37 @@ def lp_feasible(rows, rhs):
     ``("infeasible", (num, den))`` carrying the positive optimum of the
     phase-1 objective.  Bland's rule on both the entering column and the
     leaving row makes the pivoting finite and deterministic.
+
+    Rows with a negative right-hand side are negated first.  Then the
+    start basis is crashed: the first column that is a positive multiple
+    c e_i of the unit vector e_i starts basic in row i, at the value
+    b_i / c >= 0.  Only the rows left without such a column get an
+    artificial variable, so phase 1 pivots out those artificials alone.
+    The infeasibility gap is the phase-1 optimum: the sum of the
+    artificials that remain in the basis, an exact positive rational.
     """
     m = len(rows)
-    ncols = len(rows[0]) if m else 0
     if m == 0:
         return ("feasible", [])
-    last = ncols + m
-    tab = []
-    for i in range(m):
-        if rhs[i] < 0:
-            row = [-v for v in rows[i]]
-            row.extend([0] * m)
-            row.append(-rhs[i])
-        else:
-            row = list(rows[i])
-            row.extend([0] * m)
-            row.append(rhs[i])
-        row[ncols + i] = 1
-        tab.append(row)
-    basis = [ncols + i for i in range(m)]
-    art_rows = [True] * m
-    basic_cols = set()
+    ncols = len(rows[0])
+    tab = [list(r) if b >= 0 else [-v for v in r] for r, b in zip(rows, rhs)]
+    basis = [-1] * m
+    for j, col in enumerate(zip(*tab)):
+        hits = [i for i, v in enumerate(col) if v]
+        if len(hits) == 1 and col[hits[0]] > 0 and basis[hits[0]] < 0:
+            basis[hits[0]] = j
+    basic_cols = {j for j in basis if j >= 0}
+    art_rows = [j < 0 for j in basis]
+    nart = m - len(basic_cols)
+    last = ncols + nart
+    k = ncols
+    for i, row in enumerate(tab):
+        row.extend([0] * nart)
+        row.append(abs(rhs[i]))
+        if art_rows[i]:
+            row[k] = 1
+            basis[i] = k
+            k += 1
 
     while True:
         active = [i for i in range(m) if art_rows[i]]

@@ -15,10 +15,11 @@ from __future__ import annotations
 
 from functools import lru_cache
 from itertools import product
+from math import prod
 from operator import add, sub
 from typing import Iterable, Optional
 
-from .errors import BudgetError, UsageError, enumeration_budget
+from .errors import UsageError, check_budget
 from .exact_geometry import RationalPoint, _membership_support
 from .exact_geometry import hull_facets  # noqa: F401  bench/selftest.py resolves it here
 
@@ -123,6 +124,18 @@ class IntegralNeighborhood:
     def __setattr__(self, name, value):
         raise AttributeError("IntegralNeighborhood is immutable")
 
+    def __eq__(self, other):
+        if isinstance(other, IntegralNeighborhood):
+            return self.anchor == other.anchor and self.members == other.members
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.anchor, self.members))
+
+    def __reduce__(self):
+        # copy and pickle rebuild through the constructor
+        return (IntegralNeighborhood, (self.anchor, self.members))
+
     def __iter__(self):
         return iter(self.members)
 
@@ -205,14 +218,7 @@ def integral_convexity_witness(s: LatticeSet) -> Optional[RationalPoint]:
     """
     _require_nonempty(s)
     pts = s.points
-    pairs = len(pts) * (len(pts) - 1) // 2
-    limit = enumeration_budget()
-    if pairs > limit:
-        raise BudgetError(
-            f"the midpoint test needs {pairs} pairs, over the budget of {limit}",
-            budget=limit,
-            required=pairs,
-        )
+    check_budget(len(pts) * (len(pts) - 1) // 2, "the midpoint test", "pairs")
     index = s._index
     for i, x in enumerate(pts):
         for y in pts[i + 1 :]:
@@ -235,8 +241,14 @@ def is_integrally_convex(s: LatticeSet) -> bool:
 
 
 def find_hole(s: LatticeSet) -> Optional[tuple]:
-    """An integer hull point missing from s, or None when s is hole-free."""
+    """An integer hull point missing from s, or None when s is hole-free.
+
+    Scans the bounding box, one LP per point outside s; raises
+    BudgetError when the box holds more points than the enumeration
+    budget.
+    """
     _require_nonempty(s)
+    check_budget(prod(hi - lo + 1 for lo, hi in s.bbox), "the hole scan", "box points")
     for p in product(*(range(lo, hi + 1) for lo, hi in s.bbox)):
         if p in s:
             continue
@@ -255,11 +267,13 @@ def mnat_violation(s: LatticeSet) -> Optional[tuple]:
 
     The property: for x, y in s and x_i > y_i, either both x - e_i and
     y + e_i belong to s, or some j with x_j < y_j has both x - e_i + e_j
-    and y + e_i - e_j in s.
+    and y + e_i - e_j in s.  Raises BudgetError when the |S|^2 ordered
+    pairs exceed the enumeration budget.
     """
     _require_nonempty(s)
     n = s.dim
     pts = s.points
+    check_budget(len(pts) * len(pts), "the exchange test", "ordered pairs")
     index = s._index
     units = [tuple(int(k == i) for k in range(n)) for i in range(n)]
     # x - e_i and y + e_i with their membership in s, built on first use,
@@ -300,9 +314,14 @@ def is_mnat_convex(s: LatticeSet) -> bool:
 
 
 def lnat_violation(s: LatticeSet) -> Optional[tuple]:
-    """A pair (x, y) whose rounded midpoints leave s, or None."""
+    """A pair (x, y) whose rounded midpoints leave s, or None.
+
+    Raises BudgetError when the |S|(|S| - 1)/2 pairs exceed the
+    enumeration budget.
+    """
     _require_nonempty(s)
     pts = s.points
+    check_budget(len(pts) * (len(pts) - 1) // 2, "the midpoint-rounding test", "pairs")
     for i, x in enumerate(pts):
         for y in pts[i + 1 :]:
             up = tuple(-((-a - b) // 2) for a, b in zip(x, y))

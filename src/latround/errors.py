@@ -47,3 +47,17 @@ def enumeration_budget() -> int:
     if budget < 1:
         raise UsageError(f"LATROUND_BUDGET must be a positive integer, got {raw!r}")
     return budget
+
+
+def check_budget(required: int, task: str, unit: str, limit: int | None = None) -> None:
+    """Raise BudgetError when ``task`` needs more than ``limit``, by
+    default the enumeration budget: ``required`` counts its ``unit``s of
+    work, estimated up front."""
+    if limit is None:
+        limit = enumeration_budget()
+    if required > limit:
+        raise BudgetError(
+            f"{task} needs {required} {unit}, over the budget of {limit}",
+            budget=limit,
+            required=required,
+        )

@@ -372,24 +372,37 @@ def solve_linear_feasibility(matrix, rhs) -> Optional[list]:
 def _membership_lp(groups: list, x: RationalPoint):
     """Run the kernel LP for x as a sum of one convex combination per group.
 
-    The rows are ``sum_g points_g @ lam_g = x``, one per coordinate and
-    each scaled by that coordinate's own reduced denominator, then
-    ``sum(lam_g) = 1``, one per group, with ``lam >= 0``.  Columns run
-    over the groups' points in order.  With a single group this is hull
-    membership of x in conv(points).
+    The system is ``sum_g points_g @ lam_g = x`` and ``sum(lam_g) = 1`` per
+    group, with ``lam >= 0``; columns run over the groups' points in
+    order.  With a single group this is hull membership of x in
+    conv(points).  Each coordinate row is written after substituting
+    lam_g0 = 1 - sum_{j != 0} lam_gj, where p_g0 is the first point of
+    group g: the column of a point p of group g holds p - p_g0 and the
+    right-hand side is x - sum_g p_g0, each coordinate scaled by its own
+    reduced denominator.  The convex-weight rows, one per group, are kept
+    as they are.  This is a row operation, so lam solves the same system;
+    but the column of p_g0 is now the unit vector of its group's row, so
+    the kernel starts with p_g0 basic there and only the coordinate rows
+    need artificial variables.
     """
-    columns = [p for points in groups for p in points]
     rows = []
     rhs = []
     den = x.den
     for i, a in enumerate(x.num):
         g = gcd(a, den)
         scale = den // g
-        rows.append([p[i] * scale for p in columns])
-        rhs.append(a // g)
+        row = []
+        shift = 0
+        for points in groups:
+            base = points[0][i]
+            shift += base
+            row.extend([(p[i] - base) * scale for p in points])
+        rows.append(row)
+        rhs.append(a // g - shift * scale)
+    width = sum(map(len, groups))
     start = 0
     for points in groups:
-        rows.append([0] * start + [1] * len(points) + [0] * (len(columns) - start - len(points)))
+        rows.append([0] * start + [1] * len(points) + [0] * (width - start - len(points)))
         rhs.append(1)
         start += len(points)
     return _kernel.lp_feasible(rows, rhs)
@@ -437,9 +450,9 @@ def hull_membership(points, x) -> Optional[ConvexCombination]:
 def infeasibility_gap(points, x) -> Optional[Fraction]:
     """Positive phase-1 optimum when x is outside the hull, else None.
 
-    The gap is an exact certificate-of-infeasibility figure: it is the
-    minimum total artificial mass needed to satisfy the membership
-    system, and it is zero exactly on hull members.
+    The gap is an exact certificate-of-infeasibility figure: the kernel's
+    phase-1 optimum over the artificial variables of the coordinate rows
+    of ``_membership_lp``, the convex-weight row needing none.
     """
     status, payload = _membership_lp([_point_list(points)], RationalPoint(x))
     if status == "feasible":

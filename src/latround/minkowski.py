@@ -3,10 +3,12 @@
 from __future__ import annotations
 
 from itertools import product
+from math import prod
 from typing import Iterable, Sequence
 
 from .discrete_sets import LatticeSet
-from .errors import DEFAULT_BUDGET, BudgetError, UsageError, enumeration_budget
+from .errors import DEFAULT_BUDGET, UsageError, check_budget
+from .errors import enumeration_budget  # noqa: F401  re-exported
 from .exact_geometry import RationalPoint, _membership_support
 
 __all__ = ["WitnessedSum", "minkowski_sum", "find_holes", "DEFAULT_BUDGET"]
@@ -28,6 +30,22 @@ class WitnessedSum:
 
     def __setattr__(self, name, value):
         raise AttributeError("WitnessedSum is immutable")
+
+    def __eq__(self, other):
+        if isinstance(other, WitnessedSum):
+            return (
+                self.result == other.result
+                and self.summands == other.summands
+                and self.witnesses == other.witnesses
+            )
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.result, self.summands))
+
+    def __reduce__(self):
+        # copy and pickle rebuild through the constructor
+        return (WitnessedSum, (self.result, self.witnesses, self.summands))
 
     @property
     def dim(self) -> int:
@@ -66,16 +84,7 @@ def minkowski_sum(sets: Sequence[LatticeSet], budget: int | None = None) -> Witn
     dim = sets[0].dim
     if any(s.dim != dim for s in sets):
         raise UsageError("summands have mixed dimensions")
-    limit = enumeration_budget() if budget is None else budget
-    total = 1
-    for s in sets:
-        total *= len(s)
-    if total > limit:
-        raise BudgetError(
-            f"sum enumeration needs {total} tuples, over the budget of {limit}",
-            budget=limit,
-            required=total,
-        )
+    check_budget(prod(map(len, sets)), "sum enumeration", "tuples", budget)
     witnesses = {p: (p,) for p in sets[0].points}
     for s in sets[1:]:
         grown: dict = {}
@@ -93,9 +102,12 @@ def find_holes(w: WitnessedSum) -> LatticeSet:
     """Integer hull points of the sum that are not sum points.
 
     Returns a possibly empty LatticeSet: conv(W) cap Z^n minus W, found
-    by exact membership over the bounding box.
+    by exact membership over the bounding box, one LP per point outside
+    W.  Raises BudgetError when the box holds more points than the
+    enumeration budget.
     """
     res = w.result
+    check_budget(prod(hi - lo + 1 for lo, hi in res.bbox), "the hole scan", "box points")
     holes = []
     pts = list(res.points)
     for p in product(*(range(lo, hi + 1) for lo, hi in res.bbox)):

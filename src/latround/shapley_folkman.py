@@ -92,6 +92,26 @@ class SfDecomposition:
     def __setattr__(self, name, value):
         raise AttributeError("SfDecomposition is immutable")
 
+    def _key(self):
+        return (
+            self.x,
+            tuple(sorted(self.fractional.items())),
+            tuple(sorted(self.integral.items())),
+        )
+
+    def __eq__(self, other):
+        if isinstance(other, SfDecomposition):
+            return self._key() == other._key()
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __reduce__(self):
+        # copy and pickle rebuild through __init__, which re-checks the
+        # index split and the reconstruction of x
+        return (SfDecomposition, (self.x, self.fractional, self.integral))
+
     @property
     def index_sets(self):
         return (tuple(sorted(self.fractional)), tuple(sorted(self.integral)))
@@ -185,7 +205,9 @@ def decompose_into_summand_hulls(sets: Sequence[LatticeSet], x) -> list:
     over the sum of |S_i| columns.  Its basic feasible solution has at
     most m + n positive weights and each summand needs at least one, so
     at most n summands get more than one support point; all others are
-    single lattice points.  Bland's rule in the kernel makes the split
+    single lattice points.  Each summand's first point starts basic in
+    its convex-weight row, so phase 1 only pivots out the n coordinate
+    rows' artificials.  Bland's rule in the kernel makes the split
     deterministic.  Raises DomainError, carrying this LP's phase-1
     infeasibility gap, when x is outside the hull.
     """

@@ -60,6 +60,15 @@ def test_check_ic_over_the_pair_budget_exits_3(tmp_path, capsys, monkeypatch):
     assert captured.out == ""
 
 
+def test_check_holefree_over_the_box_budget_exits_3(tmp_path, capsys, monkeypatch):
+    path = write(tmp_path, "s.json", {"dim": 2, "points": [[0, 0], [3, 3]]})
+    monkeypatch.setenv("LATROUND_BUDGET", "15")
+    assert main(["check", path, "--class", "holefree"]) == 3
+    captured = capsys.readouterr()
+    assert "16 box points" in captured.err and "Traceback" not in captured.err
+    assert captured.out == ""
+
+
 def test_check_malformed_file(tmp_path, capsys):
     path = tmp_path / "bad.json"
     path.write_text("{not json")

@@ -123,6 +123,37 @@ def test_midpoint_test_budgets_its_pairs(monkeypatch):
     assert integral_convexity_witness(s).coords == (0, 1)
 
 
+def test_hole_scan_budgets_its_box(monkeypatch):
+    # the bounding box [0, 2] x [0, 2] holds 9 points; all but the corners are holes
+    s = LatticeSet([(0, 0), (2, 0), (0, 2), (2, 2)])
+    monkeypatch.setenv("LATROUND_BUDGET", "8")
+    with pytest.raises(BudgetError) as err:
+        find_hole(s)
+    assert err.value.required == 9 and err.value.budget == 8
+    monkeypatch.setenv("LATROUND_BUDGET", "9")
+    assert find_hole(s) == (0, 1)
+
+
+def test_exchange_test_budgets_its_ordered_pairs(monkeypatch):
+    s = LatticeSet([(0, 0), (1, 1), (2, 2)])
+    monkeypatch.setenv("LATROUND_BUDGET", "8")
+    with pytest.raises(BudgetError) as err:
+        mnat_violation(s)
+    assert err.value.required == 9 and err.value.budget == 8
+    monkeypatch.setenv("LATROUND_BUDGET", "9")
+    assert mnat_violation(s) == ((1, 1), (0, 0), 0)
+
+
+def test_midpoint_rounding_test_budgets_its_pairs(monkeypatch):
+    s = LatticeSet([(0, 0), (1, 0), (2, 0), (0, 2)])
+    monkeypatch.setenv("LATROUND_BUDGET", "5")
+    with pytest.raises(BudgetError) as err:
+        lnat_violation(s)
+    assert err.value.required == 6 and err.value.budget == 5
+    monkeypatch.setenv("LATROUND_BUDGET", "6")
+    assert lnat_violation(s) == ((0, 0), (0, 2))
+
+
 def test_hole_free_examples():
     assert find_hole(LatticeSet(HOLE_SUM_POINTS)) == (1, 1)
     assert find_hole(LatticeSet(TRIPLE_SUM_POINTS)) == (1, 1, 1)

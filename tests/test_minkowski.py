@@ -133,6 +133,17 @@ def test_budget_env_override(monkeypatch):
         minkowski_sum(sets)
 
 
+def test_hole_scan_of_a_sum_budgets_its_box(monkeypatch):
+    # the hole pair's sum lies in the box [0, 2]^2, whose 9 points the scan visits
+    w = minkowski_sum([LatticeSet([(0, 0), (1, 1)]), LatticeSet([(1, 0), (0, 1)])])
+    monkeypatch.setenv("LATROUND_BUDGET", "8")
+    with pytest.raises(BudgetError) as err:
+        find_holes(w)
+    assert err.value.required == 9 and err.value.budget == 8
+    monkeypatch.setenv("LATROUND_BUDGET", "9")
+    assert find_holes(w).points == ((1, 1),)
+
+
 def test_dimension_mismatch():
     with pytest.raises(UsageError):
         minkowski_sum([LatticeSet([(0, 0)]), LatticeSet([(0,)])])

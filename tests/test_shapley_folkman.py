@@ -3,6 +3,8 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from latround import (
     BudgetError,
@@ -104,6 +106,62 @@ def test_decompose_stacked_split_is_certified_and_basic():
         assert sum(not y.is_integral() for y, _ in parts) <= min(n, m)
         # a basic solution: at most n + m positive weights in all
         assert sum(len(cert) for _, cert in parts) <= n + m
+
+
+def _small_stacks():
+    """(sets, x): n <= 3, 1 to 5 summands of points of {0,1,2}^n whose
+    plain sum has at most 20 points (the membership oracle's limit), and
+    x either a rational combination of sum points or a point over the
+    denominator 2, 3 or 4 in a box around the sum."""
+
+    def with_x(sets):
+        points = minkowski_sum(sets).result.points
+        n = sets[0].dim
+        inside = st.lists(
+            st.tuples(st.sampled_from(points), st.integers(1, 4)),
+            min_size=min(2, len(points)),
+            max_size=4,
+            unique_by=lambda pair: pair[0],
+        ).map(lambda chosen: ConvexCombination(
+            [(p, Fraction(w, sum(v for _, v in chosen))) for p, w in chosen]
+        ).target)
+        anywhere = st.tuples(
+            # numerators over 4 reach past the sum's box [0, 2m]^n on both sides
+            st.lists(st.integers(-1, 8 * len(sets) + 1), min_size=n, max_size=n),
+            st.integers(2, 4),
+        ).map(lambda pair: RationalPoint([Fraction(a, pair[1]) for a in pair[0]]))
+        return st.tuples(st.just(sets), st.one_of(inside, anywhere))
+
+    def summands(n):
+        one = st.lists(
+            st.tuples(*[st.integers(0, 2)] * n), min_size=1, max_size=3
+        ).map(LatticeSet)
+        return st.lists(one, min_size=1, max_size=5).filter(
+            lambda sets: len(minkowski_sum(sets)) <= 20
+        )
+
+    return st.integers(1, 3).flatmap(summands).flatmap(with_x)
+
+
+@settings(derandomize=True, max_examples=120, deadline=None)
+@given(_small_stacks())
+def test_decompose_agrees_with_the_oracle_and_is_basic(stack):
+    sets, x = stack
+    n = x.dim
+    inside = oracle_membership(minkowski_sum(sets).result, x.coords)
+    try:
+        parts = decompose_into_summand_hulls(sets, x)
+    except DomainError:
+        assert not inside
+        return
+    assert inside
+    total = RationalPoint([0] * n)
+    for (y, cert), s in zip(parts, sets):
+        assert cert.target == y
+        assert set(cert.points()) <= set(s.points)
+        total = total + y
+    assert total == x
+    assert sum(len(cert) > 1 for _, cert in parts) <= n
 
 
 # ------------------------------------------------------- local restrictions

@@ -10,7 +10,16 @@ from fractions import Fraction
 
 import pytest
 
-from latround import ConvexCombination, LatticeSet, RationalPoint, UsageError, sf_round_linf
+from latround import (
+    ConvexCombination,
+    LatticeSet,
+    RationalPoint,
+    SfDecomposition,
+    UsageError,
+    integral_neighborhood,
+    minkowski_sum,
+    sf_round_linf,
+)
 from latround.errors import InternalError
 from latround.shapley_folkman import RoundingResult
 
@@ -27,6 +36,13 @@ def values():
             [LatticeSet([(0, 0), (1, 1)]), LatticeSet([(1, 0), (0, 1)])], (half, half)
         ),
         RoundingResult((half, 0), (0, 0), "ic-linf", half, None),
+        minkowski_sum([LatticeSet([(0, 0), (1, 1)]), LatticeSet([(1, 0), (0, 1)])]),
+        integral_neighborhood((half, 2, Fraction(-1, 3))),
+        SfDecomposition(
+            RationalPoint((half, Fraction(3, 2))),
+            {0: ConvexCombination([((0, 0), half), ((1, 1), half)])},
+            {1: (0, 1)},
+        ),
     ]
 
 
@@ -64,6 +80,8 @@ class _Forged:
         (_Forged(RationalPoint, (0.5,)), UsageError),
         # max-norm distance 1 over a bound of 1/2
         (_Forged(RoundingResult, (0, 0), (1, 0), "ic-linf", Fraction(1, 2), None), InternalError),
+        # the parts rebuild (0, 1), not x
+        (_Forged(SfDecomposition, RationalPoint((1, 1)), {}, {0: (0, 1)}), InternalError),
     ],
 )
 def test_invalid_pickle_fails_on_load(forged, error):
