@@ -20,7 +20,7 @@ from operator import add, sub
 from typing import Iterable, Optional
 
 from .errors import UsageError, check_budget
-from .exact_geometry import RationalPoint, _membership_support
+from .exact_geometry import RationalPoint, _as_lattice_point, _membership_support, _Value
 from .exact_geometry import hull_facets  # noqa: F401  bench/selftest.py resolves it here
 
 __all__ = [
@@ -38,18 +38,13 @@ __all__ = [
 ]
 
 
-class LatticeSet:
+class LatticeSet(_Value):
     """A finite set of points of Z^n with a cached bounding box."""
 
     __slots__ = ("dim", "points", "bbox", "_index")
 
     def __init__(self, points: Iterable, dim: Optional[int] = None, allow_empty: bool = False):
-        pts = set()
-        for p in points:
-            tup = tuple(int(c) for c in p)
-            if any(c != t for c, t in zip(p, tup)):
-                raise UsageError(f"not an integer point: {tuple(p)!r}")
-            pts.add(tup)
+        pts = set(map(_as_lattice_point, points))
         if not pts and not allow_empty:
             raise UsageError("empty lattice set")
         dims = {len(p) for p in pts}
@@ -72,12 +67,11 @@ class LatticeSet:
         object.__setattr__(self, "bbox", tuple(zip(map(min, cols), map(max, cols))))
         object.__setattr__(self, "_index", frozenset(ordered))
 
-    def __setattr__(self, name, value):
-        raise AttributeError("LatticeSet is immutable")
+    def _key(self):
+        return (self.dim, self.points)
 
-    def __reduce__(self):
-        # copy and pickle rebuild through the validating constructor
-        return (LatticeSet, (self.points, self.dim, not self.points))
+    def _args(self):
+        return (self.points, self.dim, not self.points)
 
     def __contains__(self, p):
         return tuple(p) in self._index
@@ -90,14 +84,6 @@ class LatticeSet:
 
     def __bool__(self):
         return bool(self.points)
-
-    def __eq__(self, other):
-        if isinstance(other, LatticeSet):
-            return self.dim == other.dim and self.points == other.points
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.dim, self.points))
 
     def __repr__(self):
         return f"LatticeSet(dim={self.dim}, points={list(self.points)})"
@@ -112,7 +98,7 @@ class LatticeSet:
         return out
 
 
-class IntegralNeighborhood:
+class IntegralNeighborhood(_Value):
     """The integer box between floor(x) and ceil(x), componentwise."""
 
     __slots__ = ("anchor", "members")
@@ -121,20 +107,10 @@ class IntegralNeighborhood:
         object.__setattr__(self, "anchor", anchor)
         object.__setattr__(self, "members", members)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("IntegralNeighborhood is immutable")
+    def _key(self):
+        return (self.anchor, self.members)
 
-    def __eq__(self, other):
-        if isinstance(other, IntegralNeighborhood):
-            return self.anchor == other.anchor and self.members == other.members
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.anchor, self.members))
-
-    def __reduce__(self):
-        # copy and pickle rebuild through the constructor
-        return (IntegralNeighborhood, (self.anchor, self.members))
+    _args = _key
 
     def __iter__(self):
         return iter(self.members)
@@ -252,7 +228,7 @@ def find_hole(s: LatticeSet) -> Optional[tuple]:
     for p in product(*(range(lo, hi + 1) for lo, hi in s.bbox)):
         if p in s:
             continue
-        if _membership_support(list(s.points), RationalPoint(p)) is not None:
+        if _membership_support(s.points, RationalPoint(p)) is not None:
             return p
     return None
 

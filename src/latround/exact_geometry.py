@@ -11,6 +11,12 @@ enters any certified path.
 This module does no elimination of its own: feasibility, null vectors,
 rank tests and null-space bases all go through the integer kernel
 (``latround._kernel``).
+
+``_Value`` is the one place that defines the value-type protocol shared
+by the package's value objects (points, convex combinations, lattice
+sets, neighborhoods, witnessed sums, decompositions and rounding
+results): immutability, equality and hashing by a key, and copies and
+pickles that rebuild through the validating constructor.
 """
 
 from __future__ import annotations
@@ -52,7 +58,34 @@ def as_rational(value) -> Fraction:
         raise UsageError(f"not a rational value: {value!r}") from exc
 
 
-class RationalPoint:
+class _Value:
+    """Base of the immutable value types.
+
+    A subclass sets its fields with ``object.__setattr__`` and defines
+    ``_key()``, the tuple that equality and hashing compare, and
+    ``_args()``, the constructor arguments that rebuild it; copy and
+    pickle go through the constructor, so a tampered pickle fails its
+    checks on load.
+    """
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __eq__(self, other):
+        if type(other) is type(self):
+            return self._key() == other._key()
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __reduce__(self):
+        return (type(self), self._args())
+
+
+class RationalPoint(_Value):
     """A point of Q^n with exact componentwise arithmetic.
 
     Stored as integer numerators ``num`` over one positive common
@@ -103,6 +136,8 @@ class RationalPoint:
     def __getitem__(self, i):
         return self.coords[i]
 
+    # _Value's key equality is overridden: a point also equals the tuple
+    # of its coordinates, and hashes like it
     def __eq__(self, other):
         if isinstance(other, RationalPoint):
             return self.den == other.den and self.num == other.num
@@ -115,12 +150,8 @@ class RationalPoint:
         # equal Fraction, so integral points need none built
         return hash(self.num) if self.den == 1 else hash(self.coords)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("RationalPoint is immutable")
-
-    def __reduce__(self):
-        # copy and pickle rebuild through the validating constructor
-        return (RationalPoint, (self.coords,))
+    def _args(self):
+        return (self.coords,)
 
     def _cross(self, other):
         """self and other as numerator tuples over one common denominator
@@ -192,14 +223,19 @@ def _check_same_dim(a: RationalPoint, b: RationalPoint):
 
 
 def _as_lattice_point(p) -> tuple:
-    out = tuple(int(c) for c in p)
-    for c, o in zip(p, out):
-        if c != o:
-            raise UsageError(f"not an integer lattice point: {tuple(p)!r}")
+    """p as a tuple of ints; UsageError unless every coordinate is an
+    integer value (an integral float such as 1.0 is one)."""
+    try:
+        vals = tuple(p)
+        out = tuple(map(int, vals))
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise UsageError(f"not an integer lattice point: {p!r}") from exc
+    if out != vals:
+        raise UsageError(f"not an integer lattice point: {vals!r}")
     return out
 
 
-class ConvexCombination:
+class ConvexCombination(_Value):
     """Positive rational weights on lattice points, summing to one.
 
     The weights are kept as integer numerators ``nums``, aligned with
@@ -299,22 +335,11 @@ class ConvexCombination:
     def __iter__(self):
         return iter(self.support)
 
-    def __eq__(self, other):
-        if isinstance(other, ConvexCombination):
-            return (
-                self._points == other._points and self.den == other.den and self.nums == other.nums
-            )
-        return NotImplemented
+    def _key(self):
+        return (self._points, self.den, self.nums)
 
-    def __hash__(self):
-        return hash(self.support)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("ConvexCombination is immutable")
-
-    def __reduce__(self):
-        # copy and pickle rebuild through __init__, which checks every invariant
-        return (ConvexCombination, (self.support,))
+    def _args(self):
+        return (self.support,)
 
     def __repr__(self):
         inner = ", ".join(f"{pt}: {w}" for pt, w in self.support)
@@ -408,7 +433,7 @@ def _membership_lp(groups: list, x: RationalPoint):
     return _kernel.lp_feasible(rows, rhs)
 
 
-def _membership_support(points: list, x: RationalPoint) -> Optional[ConvexCombination]:
+def _membership_support(points: Sequence, x: RationalPoint) -> Optional[ConvexCombination]:
     """A basic convex combination of ``points`` (in increasing order)
     hitting x, or None."""
     status, payload = _membership_lp([points], x)
@@ -425,7 +450,7 @@ def hull_membership(points, x) -> Optional[ConvexCombination]:
     and bounding box are used as cached, or any iterable of integer points.
     """
     cached = getattr(points, "bbox", None)  # truthy only on a nonempty LatticeSet
-    pts = list(points.points) if cached else _point_list(points)
+    pts = points.points if cached else _point_list(points)
     x = RationalPoint(x)
     if x.dim != len(pts[0]):
         raise UsageError(f"dimension mismatch: point set is {len(pts[0])}-d, x is {x.dim}-d")
@@ -445,20 +470,6 @@ def hull_membership(points, x) -> Optional[ConvexCombination]:
     if comb.target != x:
         raise InternalError(f"certificate target {comb.target} differs from {x}")
     return comb
-
-
-def infeasibility_gap(points, x) -> Optional[Fraction]:
-    """Positive phase-1 optimum when x is outside the hull, else None.
-
-    The gap is an exact certificate-of-infeasibility figure: the kernel's
-    phase-1 optimum over the artificial variables of the coordinate rows
-    of ``_membership_lp``, the convex-weight row needing none.
-    """
-    status, payload = _membership_lp([_point_list(points)], RationalPoint(x))
-    if status == "feasible":
-        return None
-    num, den = payload
-    return Fraction(num, den)
 
 
 def _reduce_support(columns: list, weights: list, den: int):

@@ -9,12 +9,12 @@ from typing import Iterable, Sequence
 from .discrete_sets import LatticeSet
 from .errors import DEFAULT_BUDGET, UsageError, check_budget
 from .errors import enumeration_budget  # noqa: F401  re-exported
-from .exact_geometry import RationalPoint, _membership_support
+from .exact_geometry import RationalPoint, _membership_support, _Value
 
 __all__ = ["WitnessedSum", "minkowski_sum", "find_holes", "DEFAULT_BUDGET"]
 
 
-class WitnessedSum:
+class WitnessedSum(_Value):
     """A Minkowski sum together with one decomposition per sum point.
 
     The witness for a point w is the lexicographically least tuple
@@ -28,24 +28,12 @@ class WitnessedSum:
         object.__setattr__(self, "witnesses", witnesses)
         object.__setattr__(self, "summands", summands)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("WitnessedSum is immutable")
+    def _key(self):
+        # the witnesses sorted, so that equality ignores their order
+        return (self.result, self.summands, tuple(sorted(self.witnesses.items())))
 
-    def __eq__(self, other):
-        if isinstance(other, WitnessedSum):
-            return (
-                self.result == other.result
-                and self.summands == other.summands
-                and self.witnesses == other.witnesses
-            )
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.result, self.summands))
-
-    def __reduce__(self):
-        # copy and pickle rebuild through the constructor
-        return (WitnessedSum, (self.result, self.witnesses, self.summands))
+    def _args(self):
+        return (self.result, self.witnesses, self.summands)
 
     @property
     def dim(self) -> int:
@@ -59,6 +47,20 @@ class WitnessedSum:
 
     def __repr__(self):
         return f"WitnessedSum({len(self.summands)} summands, {len(self.result)} points)"
+
+
+def _check_sets(sets: Sequence) -> int:
+    """The common dimension of a nonempty sequence of nonempty lattice
+    sets; UsageError otherwise."""
+    if not sets:
+        raise UsageError("need at least one summand")
+    for s in sets:
+        if not isinstance(s, LatticeSet) or len(s) == 0:
+            raise UsageError("summands must be nonempty lattice sets")
+    dim = sets[0].dim
+    if any(s.dim != dim for s in sets):
+        raise UsageError("summands have mixed dimensions")
+    return dim
 
 
 def minkowski_sum(sets: Sequence[LatticeSet], budget: int | None = None) -> WitnessedSum:
@@ -76,14 +78,7 @@ def minkowski_sum(sets: Sequence[LatticeSet], budget: int | None = None) -> Witn
     budget and raises BudgetError over it.
     """
     sets = tuple(sets)
-    if not sets:
-        raise UsageError("need at least one summand")
-    for s in sets:
-        if not isinstance(s, LatticeSet) or len(s) == 0:
-            raise UsageError("summands must be nonempty lattice sets")
-    dim = sets[0].dim
-    if any(s.dim != dim for s in sets):
-        raise UsageError("summands have mixed dimensions")
+    dim = _check_sets(sets)
     check_budget(prod(map(len, sets)), "sum enumeration", "tuples", budget)
     witnesses = {p: (p,) for p in sets[0].points}
     for s in sets[1:]:
@@ -109,10 +104,9 @@ def find_holes(w: WitnessedSum) -> LatticeSet:
     res = w.result
     check_budget(prod(hi - lo + 1 for lo, hi in res.bbox), "the hole scan", "box points")
     holes = []
-    pts = list(res.points)
     for p in product(*(range(lo, hi + 1) for lo, hi in res.bbox)):
         if p in res:
             continue
-        if _membership_support(pts, RationalPoint(p)) is not None:
+        if _membership_support(res.points, RationalPoint(p)) is not None:
             holes.append(p)
     return LatticeSet(holes, dim=res.dim, allow_empty=True)

@@ -47,8 +47,9 @@ from .exact_geometry import (
     _membership_lp,
     _membership_support,
     _reduce_support,
+    _Value,
 )
-from .minkowski import minkowski_sum
+from .minkowski import _check_sets, minkowski_sum
 
 __all__ = [
     "SfDecomposition",
@@ -65,7 +66,7 @@ __all__ = [
 ]
 
 
-class SfDecomposition:
+class SfDecomposition(_Value):
     """Index split of a sum decomposition: hull points on I, lattice
     points on J, reconstructing x exactly with |I| <= min(n, m)."""
 
@@ -89,9 +90,6 @@ class SfDecomposition:
         if total != x:
             raise InternalError(f"decomposition reconstructs {total}, not {x}")
 
-    def __setattr__(self, name, value):
-        raise AttributeError("SfDecomposition is immutable")
-
     def _key(self):
         return (
             self.x,
@@ -99,18 +97,8 @@ class SfDecomposition:
             tuple(sorted(self.integral.items())),
         )
 
-    def __eq__(self, other):
-        if isinstance(other, SfDecomposition):
-            return self._key() == other._key()
-        return NotImplemented
-
-    def __hash__(self):
-        return hash(self._key())
-
-    def __reduce__(self):
-        # copy and pickle rebuild through __init__, which re-checks the
-        # index split and the reconstruction of x
-        return (SfDecomposition, (self.x, self.fractional, self.integral))
+    def _args(self):
+        return (self.x, self.fractional, self.integral)
 
     @property
     def index_sets(self):
@@ -124,7 +112,7 @@ class SfDecomposition:
         return f"SfDecomposition(I={list(i_set)}, J={list(j_set)})"
 
 
-class RoundingResult:
+class RoundingResult(_Value):
     """A sum point z near x, with exact distances and the asserted bound.
 
     Distances are recomputed from x and z on construction; whichever
@@ -171,23 +159,11 @@ class RoundingResult:
         object.__setattr__(self, "bound_l2_sq", bound_l2_sq)
         object.__setattr__(self, "theorem_tag", theorem_tag)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("RoundingResult is immutable")
-
     def _key(self):
+        # also the constructor's arguments, in its order
         return (self.x, self.z, self.theorem_tag, self.bound_linf, self.bound_l2_sq)
 
-    def __eq__(self, other):
-        if isinstance(other, RoundingResult):
-            return self._key() == other._key()
-        return NotImplemented
-
-    def __hash__(self):
-        return hash(self._key())
-
-    def __reduce__(self):
-        # copy and pickle rebuild through __init__, which re-asserts the bounds
-        return (RoundingResult, self._key())
+    _args = _key
 
     def __repr__(self):
         return (
@@ -262,7 +238,7 @@ def local_restrictions(sets: Sequence[LatticeSet], ys: Sequence) -> list:
         elif y.is_integral():
             cert = ConvexCombination.from_numerators(local.points, (1,), 1)
         else:
-            cert = _membership_support(list(local.points), y)
+            cert = _membership_support(local.points, y)
         if cert is None:
             raise DomainError(
                 f"summand {i} is not integrally convex: {y} has no local certificate",
@@ -375,18 +351,6 @@ def cube_round(s: LatticeSet, x, cert: ConvexCombination) -> tuple:
 
 _CLASS_LABELS = {"ic": "integrally convex", "mnat": "exchange-convex", "lnat": "midpoint-convex"}
 _NORMS = ("linf", "l2", "best")
-
-
-def _check_sets(sets) -> int:
-    if not sets:
-        raise UsageError("need at least one summand")
-    for s in sets:
-        if not isinstance(s, LatticeSet) or len(s) == 0:
-            raise UsageError("summands must be nonempty lattice sets")
-    dim = sets[0].dim
-    if any(s.dim != dim for s in sets):
-        raise UsageError("summands have mixed dimensions")
-    return dim
 
 
 def round_point(

@@ -13,7 +13,7 @@ from latround import (
     hull_membership,
     solve_linear_feasibility,
 )
-from latround.exact_geometry import hull_facets, hull_vertices, infeasibility_gap
+from latround.exact_geometry import hull_facets, hull_vertices
 from latround.oracle import _affinely_independent, oracle_membership
 
 HOLE_SUM = LatticeSet([(1, 0), (0, 1), (2, 1), (1, 2)])
@@ -22,6 +22,30 @@ HOLE_SUM = LatticeSet([(1, 0), (0, 1), (2, 1), (1, 2)])
 def test_rational_point_rejects_floats():
     with pytest.raises(UsageError):
         RationalPoint((0.5, 1))
+
+
+# each entry point takes one point p and checks it as a lattice point
+POINT_ENTRIES = {
+    "LatticeSet": lambda p: LatticeSet([p]),
+    "hull_membership": lambda p: hull_membership([p], (0, 0)),
+    "ConvexCombination": lambda p: ConvexCombination([(p, 1)]),
+}
+
+
+@pytest.mark.parametrize("entry", POINT_ENTRIES)
+@pytest.mark.parametrize(
+    "point",
+    [(float("inf"), 0), (0, float("nan")), (None, 0), 1, ("a", 0), (Fraction(1, 2), 0)],
+    ids=["inf", "nan", "none", "not-iterable", "str", "fraction"],
+)
+def test_malformed_point_raises_usage_error(entry, point):
+    with pytest.raises(UsageError):
+        POINT_ENTRIES[entry](point)
+
+
+@pytest.mark.parametrize("entry", POINT_ENTRIES)
+def test_integral_float_point_is_accepted(entry):
+    POINT_ENTRIES[entry]((1.0, 2.0))
 
 
 def test_rational_point_arithmetic():
@@ -89,15 +113,6 @@ def test_membership_absent():
 def test_membership_dimension_mismatch():
     with pytest.raises(UsageError):
         hull_membership(HOLE_SUM, (1, 1, 1))
-
-
-def test_infeasibility_gap():
-    assert infeasibility_gap(HOLE_SUM, (1, 1)) is None
-    # (3/2, 1/2) sits on the hull boundary; (2, 0) is outside it but
-    # inside the bounding box
-    assert infeasibility_gap(HOLE_SUM, (Fraction(3, 2), Fraction(1, 2))) is None
-    gap = infeasibility_gap(HOLE_SUM, (2, 0))
-    assert gap is not None and gap > 0
 
 
 def test_caratheodory_collinear():

@@ -2,6 +2,7 @@
 
 A copy is equal to the original, hashes and prints the same; a pickle
 that breaks an invariant fails on load with the constructor's error.
+Every value type is immutable and equal only to values of its own type.
 """
 
 import copy
@@ -60,6 +61,21 @@ def test_value_survives_copy_and_pickle(value):
         assert twin == value
         assert hash(twin) == hash(value)
         assert repr(twin) == repr(value)
+
+
+@pytest.mark.parametrize("value", values(), ids=lambda v: type(v).__name__)
+def test_value_is_immutable_and_equal_only_to_its_kind(value):
+    with pytest.raises(AttributeError, match="immutable"):
+        setattr(value, type(value).__slots__[0], None)
+    with pytest.raises(AttributeError, match="immutable"):
+        value.unheard_of = 1
+    assert (value == object()) is False
+
+
+def test_rational_point_still_equals_and_hashes_like_its_tuple():
+    # RationalPoint overrides the shared key equality and hash
+    assert RationalPoint((1, 2)) == (1, 2)
+    assert hash(RationalPoint((1, 2))) == hash((1, 2))
 
 
 class _Forged:
