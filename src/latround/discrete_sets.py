@@ -8,20 +8,24 @@ is decided by the pairwise midpoint characterisation.  Each midpoint
 question reduces to whether the centre of a unit cube lies in the hull
 of a pattern of its corners; the verdict depends on the pattern alone,
 so each pattern is decided by one exact kernel LP and the boolean is
-kept in a bounded per-process cache.
+kept in a bounded per-process cache.  Hole-freeness is decided by a
+scan of the bounding box: exact integer support bounds in the
+directions ±e_i ± e_j and the box's own vertices rule most points out
+of the hull, and only the rest cost one exact kernel LP each.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import product
+from itertools import combinations, product
 from math import prod
 from operator import add, sub
 from typing import Iterable, Optional
 
 from .errors import UsageError, check_budget
-from .exact_geometry import RationalPoint, _as_lattice_point, _membership_support, _Value
-from .exact_geometry import hull_facets  # noqa: F401  bench/selftest.py resolves it here
+from .exact_geometry import RationalPoint, _as_lattice_point, _in_hull, _Value
+# bench/selftest.py resolves these two here
+from .exact_geometry import _membership_support, hull_facets  # noqa: F401
 
 __all__ = [
     "LatticeSet",
@@ -159,7 +163,7 @@ def _centre_in_hull(pattern: tuple) -> bool:
     """
     k = len(pattern).bit_length() - 1
     corners = [c for c, hit in zip(product((0, 1), repeat=k), pattern) if hit]
-    return _membership_support(corners, RationalPoint.from_numerators((1,) * k, 2)) is not None
+    return _in_hull(corners, RationalPoint.from_numerators((1,) * k, 2))
 
 
 def integral_convexity_witness(s: LatticeSet) -> Optional[RationalPoint]:
@@ -216,19 +220,53 @@ def is_integrally_convex(s: LatticeSet) -> bool:
     return integral_convexity_witness(s) is None
 
 
+def _hole_candidates(s: LatticeSet):
+    """The bounding-box points outside s that may lie in conv(s), in
+    lexicographic order.
+
+    Two exact integer tests rule a box point p out of conv(s) without an
+    LP.  First, p is a vertex of the box (every p_i is lo_i or hi_i): the
+    box contains conv(s), so such a p lies in conv(s) only if it is in
+    s.  Second, for every pair i < j, p_i + p_j and p_i - p_j lie within
+    their min and max over s: these are the support values of s in the
+    2n(n - 1) directions ±e_i ± e_j, found once with O(n^2 |s|)
+    additions, and p outside one of them is outside conv(s).  Every
+    point that passes both may still be outside conv(s).  Raises
+    BudgetError, before the first point, when the box holds more points
+    than the enumeration budget.
+    """
+    bbox = s.bbox
+    check_budget(prod(hi - lo + 1 for lo, hi in bbox), "the hole scan", "box points")
+    pairs = []
+    for i, j in combinations(range(s.dim), 2):
+        sums = [q[i] + q[j] for q in s.points]
+        diffs = [q[i] - q[j] for q in s.points]
+        pairs.append((i, j, min(sums), max(sums), min(diffs), max(diffs)))
+    index = s._index
+    for p in product(*(range(lo, hi + 1) for lo, hi in bbox)):
+        if p in index or all(v == lo or v == hi for v, (lo, hi) in zip(p, bbox)):
+            continue
+        for i, j, sum_lo, sum_hi, diff_lo, diff_hi in pairs:
+            a, b = p[i], p[j]
+            if not (sum_lo <= a + b <= sum_hi and diff_lo <= a - b <= diff_hi):
+                break
+        else:
+            yield p
+
+
 def find_hole(s: LatticeSet) -> Optional[tuple]:
     """An integer hull point missing from s, or None when s is hole-free.
 
-    Scans the bounding box, one LP per point outside s; raises
+    Scans the bounding box in lexicographic order and returns the first
+    point outside s in conv(s).  Points that the box vertices or the
+    pair-direction support bounds of ``_hole_candidates`` rule out need
+    no LP; each other point outside s costs one exact kernel LP.  Raises
     BudgetError when the box holds more points than the enumeration
     budget.
     """
     _require_nonempty(s)
-    check_budget(prod(hi - lo + 1 for lo, hi in s.bbox), "the hole scan", "box points")
-    for p in product(*(range(lo, hi + 1) for lo, hi in s.bbox)):
-        if p in s:
-            continue
-        if _membership_support(s.points, RationalPoint(p)) is not None:
+    for p in _hole_candidates(s):
+        if _in_hull(s.points, RationalPoint(p)):
             return p
     return None
 

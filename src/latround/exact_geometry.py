@@ -73,6 +73,9 @@ class _Value:
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable")
 
+    def __delattr__(self, name):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
     def __eq__(self, other):
         if type(other) is type(self):
             return self._key() == other._key()
@@ -433,6 +436,12 @@ def _membership_lp(groups: list, x: RationalPoint):
     return _kernel.lp_feasible(rows, rhs)
 
 
+def _in_hull(points: Sequence, x: RationalPoint) -> bool:
+    """Whether x lies in conv(points), by the kernel LP alone: no
+    certificate is built."""
+    return _membership_lp([points], x)[0] == "feasible"
+
+
 def _membership_support(points: Sequence, x: RationalPoint) -> Optional[ConvexCombination]:
     """A basic convex combination of ``points`` (in increasing order)
     hitting x, or None."""
@@ -551,7 +560,7 @@ def hull_vertices(points) -> list:
     out = []
     for i, p in enumerate(pts):
         others = pts[:i] + pts[i + 1 :]
-        if _membership_support(others, RationalPoint(p)) is None:
+        if not _in_hull(others, RationalPoint(p)):
             out.append(p)
     return out
 

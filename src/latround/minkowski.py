@@ -2,14 +2,15 @@
 
 from __future__ import annotations
 
-from itertools import product
 from math import prod
 from typing import Iterable, Sequence
 
-from .discrete_sets import LatticeSet
+from .discrete_sets import LatticeSet, _hole_candidates
 from .errors import DEFAULT_BUDGET, UsageError, check_budget
 from .errors import enumeration_budget  # noqa: F401  re-exported
-from .exact_geometry import RationalPoint, _membership_support, _Value
+from .exact_geometry import RationalPoint, _in_hull, _Value
+# bench/selftest.py resolves it here
+from .exact_geometry import _membership_support  # noqa: F401
 
 __all__ = ["WitnessedSum", "minkowski_sum", "find_holes", "DEFAULT_BUDGET"]
 
@@ -97,16 +98,12 @@ def find_holes(w: WitnessedSum) -> LatticeSet:
     """Integer hull points of the sum that are not sum points.
 
     Returns a possibly empty LatticeSet: conv(W) cap Z^n minus W, found
-    by exact membership over the bounding box, one LP per point outside
-    W.  Raises BudgetError when the box holds more points than the
-    enumeration budget.
+    by exact membership over the bounding box.  Only the points that
+    ``discrete_sets._hole_candidates`` cannot rule out by the box
+    vertices and the pair-direction support bounds cost an LP.  Raises
+    BudgetError when the box holds more points than the enumeration
+    budget.
     """
     res = w.result
-    check_budget(prod(hi - lo + 1 for lo, hi in res.bbox), "the hole scan", "box points")
-    holes = []
-    for p in product(*(range(lo, hi + 1) for lo, hi in res.bbox)):
-        if p in res:
-            continue
-        if _membership_support(res.points, RationalPoint(p)) is not None:
-            holes.append(p)
+    holes = [p for p in _hole_candidates(res) if _in_hull(res.points, RationalPoint(p))]
     return LatticeSet(holes, dim=res.dim, allow_empty=True)

@@ -72,6 +72,15 @@ def test_value_is_immutable_and_equal_only_to_its_kind(value):
     assert (value == object()) is False
 
 
+@pytest.mark.parametrize("value", values(), ids=lambda v: type(v).__name__)
+def test_value_fields_cannot_be_deleted(value):
+    before = repr(value)
+    for name in type(value).__slots__:
+        with pytest.raises(AttributeError, match="immutable"):
+            delattr(value, name)
+    assert repr(value) == before
+
+
 def test_rational_point_still_equals_and_hashes_like_its_tuple():
     # RationalPoint overrides the shared key equality and hash
     assert RationalPoint((1, 2)) == (1, 2)
