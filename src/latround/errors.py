@@ -2,6 +2,7 @@
 that decides when a scan raises BudgetError."""
 
 import os
+from functools import lru_cache
 
 DEFAULT_BUDGET = 10_000_000
 
@@ -36,8 +37,18 @@ class InternalError(RuntimeError):
 
 
 def enumeration_budget() -> int:
-    """Work budget for enumerating scans; LATROUND_BUDGET overrides it."""
-    raw = os.environ.get("LATROUND_BUDGET")
+    """Work budget for enumerating scans; LATROUND_BUDGET overrides it.
+
+    The variable is read on every call, so a change takes effect at once;
+    each distinct value is parsed once.
+    """
+    return _parse_budget(os.environ.get("LATROUND_BUDGET"))
+
+
+@lru_cache(maxsize=16)
+def _parse_budget(raw) -> int:
+    """The budget a LATROUND_BUDGET value sets; UsageError, raised on every
+    call (an exception is not cached), unless it is a positive integer."""
     if not raw:
         return DEFAULT_BUDGET
     try:

@@ -220,6 +220,14 @@ def _point(num: tuple, den: int) -> RationalPoint:
     return p
 
 
+def _point_sum(points: Sequence[RationalPoint]) -> RationalPoint:
+    """The exact sum of a nonempty sequence of points of one dimension, in
+    one integer pass over their common denominator."""
+    den = lcm(*(p.den for p in points))
+    rows = [p.num if p.den == den else [a * (den // p.den) for a in p.num] for p in points]
+    return RationalPoint.from_numerators(tuple(map(sum, zip(*rows))), den)
+
+
 def _check_same_dim(a: RationalPoint, b: RationalPoint):
     if a.dim != b.dim:
         raise UsageError(f"dimension mismatch: {a.dim} vs {b.dim}")

@@ -19,11 +19,27 @@ reduction to integrally convex summands:
   and so one integrally convex summand; alpha(n, 1) = 1 - 1/n is the
   exchange-convex bound.
 
-The core never enumerates the sum of its summands for a fractional x:
-one LP over the stacked summand system splits x into per-summand hull
-points, and z is assembled from one rounded point per summand, each
-checked to lie in its summand.  That sum is built (by ``minkowski_sum``)
-only to test whether an integral x is itself a sum point.
+The core never enumerates the sum of its summands for a fractional x.
+It runs at most two stacked LPs, each over all its summands at once
+(``decompose_into_summand_hulls``):
+
+- the first splits x into per-summand hull points y_i.  Its basic
+  solution leaves at most min(n, m) summands (I) on more than one point;
+  every other summand j (J) contributes one lattice point p_j;
+- each summand i in I is clipped to T_i = S_i ∩ N(y_i), its points in
+  the integral neighborhood of y_i.  An integrally convex S_i has y_i in
+  conv(T_i), so x - sum_J p_j lies in the sum of the hulls conv(T_i);
+- for the max norm, the second LP splits x - sum_J p_j over the T_i.
+  Its basic solution again has at most min(n, |I|) fractional shares,
+  and each is cube-rounded inside its unit cube.  The Euclidean norm
+  needs no second LP: it scans the small sum of the clipped summands.
+
+Summands that were not verified (``verify=False``) are checked at each
+share by ``local_restrictions``, one local LP per fractional share, so a
+summand that is not integrally convex raises DomainError naming it.
+z is assembled from one point per summand, each checked to lie in its
+summand.  The sum W is built (by ``minkowski_sum``) only to test whether
+an integral x is itself a sum point.
 """
 
 from __future__ import annotations
@@ -46,6 +62,7 @@ from .exact_geometry import (
     RationalPoint,
     _membership_lp,
     _membership_support,
+    _point_sum,
     _reduce_support,
     _Value,
 )
@@ -82,11 +99,8 @@ class SfDecomposition(_Value):
             raise InternalError(
                 f"{len(self.fractional)} fractional summands exceed min({n}, {m})"
             )
-        total = RationalPoint([0] * n)
-        for _, comb in self.fractional.items():
-            total = total + comb.target
-        for _, z in self.integral.items():
-            total = total + RationalPoint(z)
+        shares = [comb.target for comb in self.fractional.values()]
+        total = _point_sum(shares + [RationalPoint(z) for z in self.integral.values()])
         if total != x:
             raise InternalError(f"decomposition reconstructs {total}, not {x}")
 
@@ -186,6 +200,11 @@ def decompose_into_summand_hulls(sets: Sequence[LatticeSet], x) -> list:
     rows' artificials.  Bland's rule in the kernel makes the split
     deterministic.  Raises DomainError, carrying this LP's phase-1
     infeasibility gap, when x is outside the hull.
+
+    The rounding core calls this twice: once on the summands, and for
+    the max norm once more on the summands that the first split leaves
+    on more than one point, clipped to the integral neighborhoods of
+    their shares.
     """
     sets = list(sets)
     n = _check_sets(sets)
@@ -205,25 +224,25 @@ def decompose_into_summand_hulls(sets: Sequence[LatticeSet], x) -> list:
     per_set: list = [[] for _ in sets]
     for entry in payload:
         per_set[owners[entry[0]]].append(entry)
-    out = []
-    total = RationalPoint([0] * n)
-    for entries in per_set:
-        part = ConvexCombination.from_payload(columns, entries)
-        out.append((part.target, part))
-        total = total + part.target
-    if total != x:
+    parts = [ConvexCombination.from_payload(columns, entries) for entries in per_set]
+    if _point_sum([part.target for part in parts]) != x:
         raise InternalError("summand hull points do not add up to x")
-    return out
+    return [(part.target, part) for part in parts]
 
 
 def local_restrictions(sets: Sequence[LatticeSet], ys: Sequence) -> list:
-    """Clip each summand to the integral neighborhood of its hull point.
+    """Clip each summand to the integral neighborhood of its hull point,
+    and certify the point in the hull of the clipped set.
 
     Returns [(T_i, combination certifying y_i in conv(T_i))].  T_i sits
     inside a translated unit cube by construction.  A failed certificate
     means the summand is not integrally convex at y_i, which is reported
     with that witness.  A lattice-point y_i is its own neighborhood, so
     it certifies itself with weight 1 and needs no LP.
+
+    The rounding core runs this only on summands it has not verified, as
+    the check that each share lies in the hull of its clipped summand;
+    verified integrally convex summands are clipped without an LP.
     """
     if len(sets) != len(ys):
         raise UsageError("one hull point per summand is required")
@@ -232,7 +251,7 @@ def local_restrictions(sets: Sequence[LatticeSet], ys: Sequence) -> list:
         y = RationalPoint(y)
         if y.dim != s.dim:
             raise UsageError("dimension mismatch between summand and hull point")
-        local = s.intersect_points(integral_neighborhood(y).members)
+        local = _clip(s, y)
         if not len(local):
             cert = None
         elif y.is_integral():
@@ -248,6 +267,11 @@ def local_restrictions(sets: Sequence[LatticeSet], ys: Sequence) -> list:
     return out
 
 
+def _clip(s: LatticeSet, y: RationalPoint) -> LatticeSet:
+    """The points of s in the integral neighborhood of y."""
+    return s.intersect_points(integral_neighborhood(y).members)
+
+
 def sf_decompose(ts: Sequence[LatticeSet], x, certs: Sequence[ConvexCombination]) -> SfDecomposition:
     """Pivot a per-summand hull representation of x down to basic form.
 
@@ -255,9 +279,13 @@ def sf_decompose(ts: Sequence[LatticeSet], x, certs: Sequence[ConvexCombination]
     per coordinate; driving the given feasible weights to a basic
     solution leaves at most min(n, m) summands with more than one
     support point.  Those form I (hull points); the rest contribute a
-    single lattice point each and form J.  With one summand, |I| <= 1
-    holds as given, so its certificate is kept unchanged, without a
-    pivot.
+    single lattice point each and form J.  A one-point certificate is
+    the only column in its convex-weight row, so no null vector moves
+    it: only the certificates with more than one point are pivoted,
+    over their own rows.  With one summand, |I| <= 1 holds as given, so
+    its certificate is kept unchanged, without a pivot.  Certificates
+    that are already basic, as the rounding core's second stacked split
+    is, come out unchanged after one null-space test.
     """
     x = RationalPoint(x)
     ts = list(ts)
@@ -265,8 +293,6 @@ def sf_decompose(ts: Sequence[LatticeSet], x, certs: Sequence[ConvexCombination]
     if len(ts) != len(certs) or not ts:
         raise UsageError("need one certificate per summand")
     n = x.dim
-    m = len(ts)
-    total = RationalPoint([0] * n)
     for s, cert in zip(ts, certs):
         if not isinstance(cert, ConvexCombination):
             raise UsageError("certificates must be ConvexCombination values")
@@ -275,34 +301,33 @@ def sf_decompose(ts: Sequence[LatticeSet], x, certs: Sequence[ConvexCombination]
         for p in cert.points():
             if p not in s:
                 raise UsageError(f"certificate point {p} is not in its summand")
-        total = total + cert.target
+    total = _point_sum([cert.target for cert in certs])
     if total != x:
         raise UsageError(f"certificates sum to {total}, not {x}")
 
-    if m == 1:
-        (cert,) = certs
-        if len(cert) == 1:
-            return SfDecomposition(x, {}, {0: cert.points()[0]})
-        return SfDecomposition(x, {0: cert}, {})
-    den = lcm(*(cert.den for cert in certs))
+    integral = {i: cert.points()[0] for i, cert in enumerate(certs) if len(cert) == 1}
+    multi = [i for i, cert in enumerate(certs) if len(cert) > 1]
+    if len(certs) == 1 or not multi:
+        return SfDecomposition(x, {i: certs[i] for i in multi}, integral)
+    den = lcm(*(certs[i].den for i in multi))
     columns = []
     weights = []
     owners = []
-    for i, cert in enumerate(certs):
-        marker = (0,) * i + (1,) + (0,) * (m - i - 1)
+    for row, i in enumerate(multi):
+        cert = certs[i]
+        marker = (0,) * row + (1,) + (0,) * (len(multi) - row - 1)
         scale = den // cert.den
         for p, wt in zip(cert.points(), cert.nums):
             columns.append(marker + p)
             weights.append(wt * scale)
             owners.append((i, p))
     kept, den = _reduce_support(columns, weights, den)
-    per_set: list = [[] for _ in range(m)]
+    per_set: dict = {i: [] for i in multi}
     for idx, wt in kept:
         i, p = owners[idx]
         per_set[i].append((p, wt))
     fractional = {}
-    integral = {}
-    for i, sup in enumerate(per_set):
+    for i, sup in per_set.items():
         if len(sup) == 1 and sup[0][1] == den:
             integral[i] = sup[0][0]
         else:
@@ -327,20 +352,15 @@ def cube_round(s: LatticeSet, x, cert: ConvexCombination) -> tuple:
         raise UsageError("cube rounding needs dimension at least 2")
     if not isinstance(s, LatticeSet) or len(s) == 0 or s.dim != n:
         raise UsageError("need a nonempty lattice set of matching dimension")
-    for lo, hi in s.bbox:
-        if hi - lo > 1:
-            raise UsageError("set is not contained in a translated unit cube")
+    if any(hi - lo > 1 for lo, hi in s.bbox):
+        raise UsageError("set is not contained in a translated unit cube")
     if not isinstance(cert, ConvexCombination) or cert.target != x:
         raise UsageError("certificate does not certify x")
     for p in cert.points():
         if p not in s:
             raise UsageError(f"certificate point {p} is outside the set")
-    best = None
-    best_d = None
-    for p in s.points:
-        d = x.linf_distance(RationalPoint(p))
-        if best_d is None or d < best_d:
-            best, best_d = p, d
+    best = min(s.points, key=lambda p: x.linf_distance(RationalPoint(p)))
+    best_d = x.linf_distance(RationalPoint(best))
     limit = Fraction(n - 1, n)
     if best_d > limit:
         raise InternalError(
@@ -374,20 +394,26 @@ def round_point(
     Each class is thus reduced to a list of integrally convex summands,
     which one core (``_round_ic``) rounds.
 
-    ``norm`` picks the pipeline: "linf" cube-rounds the fractional
-    shares of a basic decomposition; "l2" scans the sum of the clipped
-    summands for the nearest point; "best" runs both on one split and
-    keeps the nearer point in the max norm, which is within
-    min(alpha, beta).  Every norm but ic/l2 needs dimension at least 2.
-    ``verify=False`` skips the class check of the summands and trusts
-    the caller.  The result is tagged "mnat" or "<cls>-<norm>".
+    ``norm`` picks the pipeline: "linf" splits x a second time over the
+    clipped summands and cube-rounds the fractional shares of that basic
+    split; "l2" scans the sum of the clipped summands for the nearest
+    point; "best" runs both on one first split and keeps the nearer
+    point in the max norm, which is within min(alpha, beta).  Every norm
+    but ic/l2 needs dimension at least 2.  ``verify=False`` skips the
+    class check of the summands and trusts the caller; the core then
+    certifies each fractional share in its clipped summand with one
+    local LP (``local_restrictions``), so a summand that is not
+    integrally convex there still raises DomainError naming it.  The
+    result is tagged "mnat" or "<cls>-<norm>".
 
     The core splits x over its summands with one stacked LP
-    (``decompose_into_summand_hulls``) and never enumerates their sum
-    for a fractional x, so for "ic" and "lnat" the cost grows with the
-    sum of the summand sizes, not their product.  An integral x is first
-    looked up in the enumerated sum, which keeps the enumeration budget:
-    past it, such a call raises BudgetError; "mnat" enumerates W always.
+    (``decompose_into_summand_hulls``), and for "linf" and "best" with
+    one more over the clipped summands that the first leaves fractional.
+    It never enumerates their sum for a fractional x, so for "ic" and
+    "lnat" the cost grows with the sum of the summand sizes, not their
+    product.  An integral x is first looked up in the enumerated sum,
+    which keeps the enumeration budget: past it, such a call raises
+    BudgetError; "mnat" enumerates W always.
     """
     if cls not in _CLASS_LABELS:
         raise UsageError(f"unknown class {cls!r}")
@@ -417,10 +443,11 @@ def round_point(
                     f"summand {i} is not {_CLASS_LABELS[cls]}: witness {bad}", witness=bad
                 )
     if cls == "mnat":
-        return _round_ic([minkowski_sum(sets).result], x, norm, "mnat")
+        return _round_ic([minkowski_sum(sets).result], x, norm, "mnat", verify)
     if cls == "lnat":
-        sets = _pair_sums(sets, verify)
-    return _round_ic(sets, x, norm, f"{cls}-{norm}")
+        # the pair sums are checked to be integrally convex in any case
+        return _round_ic(_pair_sums(sets, verify), x, norm, f"lnat-{norm}", True)
+    return _round_ic(sets, x, norm, f"ic-{norm}", verify)
 
 
 def _pair_sums(sets: list, verify: bool) -> list:
@@ -445,8 +472,16 @@ def _pair_sums(sets: list, verify: bool) -> list:
     return effective
 
 
-def _round_ic(sets: list, x: RationalPoint, norm: str, tag: str) -> RoundingResult:
-    """The integrally convex core; W is built only for an integral x."""
+def _round_ic(sets: list, x: RationalPoint, norm: str, tag: str, certified: bool) -> RoundingResult:
+    """The integrally convex core; W is built only for an integral x.
+
+    ``certified`` says that every summand is known to be integrally
+    convex, so each share y_i lies in the hull of its clipped summand
+    S_i ∩ N(y_i) and the clipping needs no LP.  Otherwise
+    ``local_restrictions`` certifies every share first, with one local LP
+    per fractional share, and raises DomainError at the first summand
+    that fails.
+    """
     n = x.dim
     m = len(sets)
     pair = bound_pair(n, m)
@@ -454,13 +489,20 @@ def _round_ic(sets: list, x: RationalPoint, norm: str, tag: str) -> RoundingResu
     if integral and x.as_int_tuple() in minkowski_sum(sets):
         z = x.as_int_tuple()
     else:
-        ys = decompose_into_summand_hulls(sets, x)
-        locals_ = local_restrictions(sets, [y for y, _ in ys])
+        split = decompose_into_summand_hulls(sets, x)
+        # I: the summands that the split leaves on more than one point
+        again = [i for i, (_, comb) in enumerate(split) if len(comb) > 1]
+        if certified:
+            clipped = [_clip(sets[i], split[i][0]) for i in again]
+        else:
+            local = local_restrictions(sets, [y for y, _ in split])
+            clipped = [local[i][0] for i in again]
+        rest = _point_sum([split[i][0] for i in again])  # x less the points of J
         candidates = []
         if norm != "l2":
-            candidates.append(_cube_round_shares(locals_, x))
+            candidates.append(_cube_round_shares(sets, split, again, clipped, x, rest))
         if norm != "linf":
-            candidates.append(_nearest_clipped(locals_, x))
+            candidates.append(_nearest_clipped(split, again, clipped, rest))
         # min keeps the first of equally near candidates: linf before l2
         z, parts = min(candidates, key=lambda c: x.linf_distance(RationalPoint(c[0])))
         for i, (s, p) in enumerate(zip(sets, parts)):
@@ -482,46 +524,54 @@ def _round_ic(sets: list, x: RationalPoint, norm: str, tag: str) -> RoundingResu
     return RoundingResult(x, z, tag, bound_linf=bound)
 
 
-def _cube_round_shares(locals_: list, x: RationalPoint) -> tuple:
-    """Pivot to a basic decomposition and cube-round its fractional shares.
+def _cube_round_shares(sets, split, again, clipped, x, rest) -> tuple:
+    """Split the rest of x again over the clipped summands of I, with one
+    stacked LP, and cube-round the fractional shares.
 
-    Returns (z, parts): one point per clipped summand, and their sum z.
+    The summands of J keep their points.  The second LP's basic solution
+    leaves at most min(n, |I|) summands fractional, so ``sf_decompose``
+    finds nothing to pivot.  Returns (z, parts): one point per summand,
+    and their sum z.
     """
-    dec = sf_decompose([t for t, _ in locals_], x, [c for _, c in locals_])
-    parts = []
-    for i, (t, _) in enumerate(locals_):
-        if i in dec.integral:
-            parts.append(dec.integral[i])
-        else:
-            comb = dec.fractional[i]
-            parts.append(cube_round(t, comb.target, comb))
-    return tuple(sum(c) for c in zip(*parts)), tuple(parts)
+    ts = list(sets)
+    certs = [comb for _, comb in split]
+    for i, t, (_, comb) in zip(again, clipped, decompose_into_summand_hulls(clipped, rest)):
+        ts[i], certs[i] = t, comb
+    dec = sf_decompose(ts, x, certs)
+    frac = dec.fractional
+    parts = [
+        dec.integral[i] if i in dec.integral else cube_round(t, frac[i].target, frac[i])
+        for i, t in enumerate(ts)
+    ]
+    return tuple(map(sum, zip(*parts))), tuple(parts)
 
 
-def _nearest_clipped(locals_: list, x: RationalPoint) -> tuple:
+def _nearest_clipped(split, again, clipped, rest) -> tuple:
     """Lexicographically least nearest point z of the clipped sum in the
     Euclidean norm, with its witness as the parts: (z, parts).
 
-    After a basic split all but at most n clipped summands are single
-    points, so the clipped sum stays small whatever m is.
+    The summands of J are single points, so the clipped sum is the sum
+    over I, at most n summands whatever m is, moved by the points of J;
+    its nearest point to x is the nearest point of the sum over I to the
+    rest of x, moved by the same points.
     """
-    clipped = minkowski_sum([t for t, _ in locals_])
-    best = None
-    best_d = None
-    for p in clipped.result.points:
-        d = x.l2sq_distance(RationalPoint(p))
-        if best_d is None or d < best_d:
-            best, best_d = p, d
-    return best, clipped.witnesses[best]
+    total = minkowski_sum(clipped)
+    # min keeps the first, lexicographically least, of equally near points
+    best = min(total.result.points, key=lambda p: rest.l2sq_distance(RationalPoint(p)))
+    parts = [comb.points()[0] for _, comb in split]
+    for i, p in zip(again, total.witnesses[best]):
+        parts[i] = p
+    return tuple(map(sum, zip(*parts))), tuple(parts)
 
 
 def sf_round_linf(sets: Sequence[LatticeSet], x, verify: bool = True) -> RoundingResult:
     """Round x in conv(W) to z in W with max-norm distance at most
     alpha(n, m); at most min(n, m) - 1 when x is integral.
 
-    Split x over the summand hulls, clip each summand to the integral
-    neighborhood of its share, pivot to a basic decomposition, and
-    cube-round the at most min(n, m) fractional shares.  Same as
+    Split x over the summand hulls, clip each fractional summand to the
+    integral neighborhood of its share, split the rest of x again over
+    the clipped summands, and cube-round the at most min(n, m)
+    fractional shares of that basic split.  Same as
     ``round_point(sets, x, "ic", "linf", verify)``.
     """
     return round_point(sets, x, "ic", "linf", verify)

@@ -10,6 +10,7 @@ import importlib
 import importlib.util
 import os
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import latround
@@ -64,3 +65,29 @@ def test_tracer_sees_the_layers_under_round_point(hole_pair):
     assert calls["predicates.integral_convexity_witness.calls"] == 2
     assert calls["minkowski.minkowski_sum.calls"] == 2  # the sum and the clipped sum
     assert calls["pipeline.sf_decompose.calls"] == 1
+
+
+def test_traced_counts_read_the_shapes_they_expect(tmp_path, capsys):
+    # the traced run's extra counts read lp_feasible's rows as a dense list
+    # of rows, and a sum's summands and size; each call below feeds them
+    cli = importlib.import_module("latround.cli")
+    path = tmp_path / "square.json"
+    path.write_text('{"dim": 2, "points": [[0, 0], [1, 0], [0, 1], [1, 1]]}', encoding="utf-8")
+    triangle = latround.LatticeSet([(0, 0), (1, 0), (0, 1)])
+    third = Fraction(1, 3)
+    with _load("tracing").Tracer() as tracer:
+        assert latround.hull_membership(triangle, (third, third)) is not None
+        assert len(latround.minkowski_sum([triangle, triangle])) == 6
+        assert cli.main(["check", str(path), "--class", "ic"]) == 0
+    assert tracer.restored()
+    assert capsys.readouterr().out.endswith(": pass\n")
+    metrics = {k: v for k, (v, unit) in tracer.metrics(0.0).items()}
+    assert metrics["geometry.hull_membership.calls"] == 1
+    assert metrics["kernel.lp_feasible.calls"] == 1  # the hull test: one LP
+    assert metrics["kernel.lp_feasible.entries"] > 0
+    assert metrics["minkowski.minkowski_sum.calls"] == 1
+    assert metrics["minkowski.tuples"] == 9
+    assert metrics["minkowski.sum_points"] == 6
+    assert metrics["cli.main.calls"] == 1
+    assert metrics["cli.load_set_file.calls"] == 1
+    assert metrics["predicates.integral_convexity_witness.calls"] == 1

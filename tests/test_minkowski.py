@@ -133,6 +133,31 @@ def test_budget_env_override(monkeypatch):
         minkowski_sum(sets)
 
 
+def test_budget_env_is_read_on_every_call(monkeypatch):
+    # each value is parsed once, but a changed value takes effect on the
+    # next call, and an invalid one raises on every call
+    from latround.errors import DEFAULT_BUDGET, enumeration_budget
+
+    sets = [LatticeSet([(0,), (1,)]), LatticeSet([(0,), (5,)])]
+    for raw, want in (("3", 3), ("4", 4), ("3", 3), ("", DEFAULT_BUDGET)):
+        monkeypatch.setenv("LATROUND_BUDGET", raw)
+        assert enumeration_budget() == want
+    monkeypatch.setenv("LATROUND_BUDGET", "3")
+    with pytest.raises(BudgetError):
+        minkowski_sum(sets)
+    monkeypatch.setenv("LATROUND_BUDGET", "4")
+    assert len(minkowski_sum(sets)) == 4
+    monkeypatch.delenv("LATROUND_BUDGET")
+    assert enumeration_budget() == DEFAULT_BUDGET
+    for raw in ("many", "0", "many"):
+        monkeypatch.setenv("LATROUND_BUDGET", raw)
+        for _ in range(2):
+            with pytest.raises(UsageError):
+                enumeration_budget()
+            with pytest.raises(UsageError):
+                minkowski_sum(sets)
+
+
 def test_hole_scan_of_a_sum_budgets_its_box(monkeypatch):
     # the hole pair's sum lies in the box [0, 2]^2, whose 9 points the scan visits
     w = minkowski_sum([LatticeSet([(0, 0), (1, 1)]), LatticeSet([(1, 0), (0, 1)])])

@@ -17,6 +17,7 @@ from latround import (
     cube_round,
     decompose_into_summand_hulls,
     hull_membership,
+    integral_convexity_witness,
     is_mnat_convex,
     lnat_round,
     local_restrictions,
@@ -294,6 +295,80 @@ def test_sf_decompose_one_summand_keeps_its_certificate(monkeypatch):
     assert seen[True] >= 5 and seen[False] >= 5
 
 
+def _full_reduction(ts, x, certs):
+    """The reference sf_decompose: one pivot over all m convex-weight
+    rows, one-point certificates included."""
+    from math import lcm
+
+    from latround.exact_geometry import _reduce_support
+    from latround.shapley_folkman import SfDecomposition
+
+    x = RationalPoint(x)
+    m = len(certs)
+    if m == 1:
+        (cert,) = certs
+        if len(cert) == 1:
+            return SfDecomposition(x, {}, {0: cert.points()[0]})
+        return SfDecomposition(x, {0: cert}, {})
+    den = lcm(*(cert.den for cert in certs))
+    columns, weights, owners = [], [], []
+    for i, cert in enumerate(certs):
+        marker = (0,) * i + (1,) + (0,) * (m - i - 1)
+        for p, wt in zip(cert.points(), cert.nums):
+            columns.append(marker + p)
+            weights.append(wt * (den // cert.den))
+            owners.append((i, p))
+    kept, den = _reduce_support(columns, weights, den)
+    per_set = [[] for _ in range(m)]
+    for idx, wt in kept:
+        i, p = owners[idx]
+        per_set[i].append((p, wt))
+    fractional, integral = {}, {}
+    for i, sup in enumerate(per_set):
+        if len(sup) == 1 and sup[0][1] == den:
+            integral[i] = sup[0][0]
+        else:
+            fractional[i] = ConvexCombination.from_numerators(
+                [p for p, _ in sup], [wt for _, wt in sup], den
+            )
+    return SfDecomposition(x, fractional, integral)
+
+
+def _certified_stacks():
+    """(ts, certs): 1 to 5 summands of points of {0,1,2}^n, n <= 3, each
+    with a convex combination of 1 to 4 of its points."""
+
+    def stack(n):
+        point = st.tuples(*[st.integers(0, 2)] * n)
+        comb = st.lists(
+            st.tuples(point, st.integers(1, 5)), min_size=1, max_size=4, unique_by=lambda pw: pw[0]
+        ).map(lambda chosen: ConvexCombination(
+            [(p, Fraction(w, sum(v for _, v in chosen))) for p, w in chosen]
+        ))
+        summand = st.tuples(comb, st.lists(point, max_size=2)).map(
+            lambda pair: (LatticeSet(list(pair[0].points()) + pair[1]), pair[0])
+        )
+        return st.lists(summand, min_size=1, max_size=5)
+
+    return st.integers(1, 3).flatmap(stack)
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(_certified_stacks())
+def test_sf_decompose_matches_the_full_reduction(stack):
+    # pivoting only the certificates with more than one point gives the
+    # decomposition that the pivot over every convex-weight row gives
+    ts = [t for t, _ in stack]
+    certs = [c for _, c in stack]
+    x = RationalPoint([0] * ts[0].dim)
+    for c in certs:
+        x = x + c.target
+    dec = sf_decompose(ts, x, certs)
+    ref = _full_reduction(ts, x, certs)
+    assert dec == ref
+    assert dec.fractional == ref.fractional and dec.integral == ref.integral
+
+
 # --------------------------------------------------------------- cube_round
 
 
@@ -455,6 +530,88 @@ def test_many_summands_integral_x_still_needs_the_sum():
         sf_round_linf(sets, (6, 6))
     with pytest.raises(BudgetError):
         sf_round_l2(sets, (6, 6))
+
+
+def _count_kernel_lps(monkeypatch):
+    """The row counts of the kernel LPs run from here on, as a list."""
+    from latround import exact_geometry
+
+    rows_seen = []
+    original = exact_geometry._kernel.lp_feasible
+
+    def counted(rows, rhs):
+        rows_seen.append(len(rows))
+        return original(rows, rhs)
+
+    monkeypatch.setattr(exact_geometry._kernel, "lp_feasible", counted)
+    return rows_seen
+
+
+def _unit_cube_stacks(seed, count):
+    """(sets, x): 2 to 6 subsets of {0,1}^n, n = 2, 3 (each integrally
+    convex), and a fractional hull point x of their sum."""
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        n = rng.choice([2, 3])
+        cube = list(product((0, 1), repeat=n))
+        m = rng.randint(2, 6)
+        sets = [LatticeSet(rng.sample(cube, rng.randint(2, len(cube)))) for _ in range(m)]
+        x = RationalPoint([0] * n)
+        for s in sets:
+            x = x + _random_hull_point(rng, s)
+        if not x.is_integral():
+            out.append((sets, x))
+    return out
+
+
+def test_round_runs_one_stacked_lp_per_split(monkeypatch):
+    # certified summands: the first split has n + m rows; linf and best
+    # split once more, over the n + |I| rows of the fractional summands;
+    # l2 needs no second LP.  Trusted summands add one local LP per
+    # fractional share.
+    fractional_seen = set()
+    for sets, x in _unit_cube_stacks(71, 30):
+        n, m = x.dim, len(sets)
+        split = decompose_into_summand_hulls(sets, x)
+        many = sum(len(comb) > 1 for _, comb in split)
+        fractional = sum(not y.is_integral() for y, _ in split)
+        fractional_seen.add(fractional)
+        for s in sets:
+            integral_convexity_witness(s)  # fills the midpoint pattern cache
+        rows = _count_kernel_lps(monkeypatch)
+        sf_round_linf(sets, x)
+        assert rows == [n + m, n + many]
+        rows.clear()
+        round_point(sets, x, "ic", "best")
+        assert rows == [n + m, n + many]
+        rows.clear()
+        sf_round_l2(sets, x)
+        assert rows == [n + m]
+        rows.clear()
+        sf_round_l2(sets, x, verify=False)
+        assert len(rows) == 1 + fractional
+        rows.clear()
+        sf_round_linf(sets, x, verify=False)
+        assert len(rows) == 2 + fractional and rows[-1] == n + many
+        monkeypatch.undo()
+    assert {1, 2} <= fractional_seen
+
+
+@pytest.mark.parametrize("norm", ["linf", "l2", "best"])
+@pytest.mark.parametrize("where", [0, 1, 2])
+def test_trusted_round_names_the_nonconvex_summand(norm, where):
+    # verify=False skips the class check, but the local certificate of
+    # the bad summand's share (1, 1/2) fails, and the error names that
+    # summand
+    bad = LatticeSet([(0, 0), (2, 1)])
+    sets = [LatticeSet([(0, 0)]), LatticeSet([(1, 1)])]
+    sets.insert(where, bad)
+    x = (2, Fraction(3, 2))
+    with pytest.raises(DomainError) as err:
+        round_point(sets, x, "ic", norm, verify=False)
+    assert f"summand {where} is not integrally convex" in str(err.value)
+    assert err.value.witness == RationalPoint((1, Fraction(1, 2)))
 
 
 # --------------------------------------------------------------- mnat_round
