@@ -60,12 +60,11 @@ def _parse_budget(raw) -> int:
     return budget
 
 
-def check_budget(required: int, task: str, unit: str, limit: int | None = None) -> None:
-    """Raise BudgetError when ``task`` needs more than ``limit``, by
-    default the enumeration budget: ``required`` counts its ``unit``s of
-    work, estimated up front."""
-    if limit is None:
-        limit = enumeration_budget()
+def check_budget(required: int, task: str, unit: str) -> None:
+    """Raise BudgetError when ``task`` needs more than the enumeration
+    budget: ``required`` counts its ``unit``s of work, estimated up
+    front."""
+    limit = enumeration_budget()
     if required > limit:
         raise BudgetError(
             f"{task} needs {required} {unit}, over the budget of {limit}",

@@ -64,7 +64,7 @@ def _check_sets(sets: Sequence) -> int:
     return dim
 
 
-def minkowski_sum(sets: Sequence[LatticeSet], budget: int | None = None) -> WitnessedSum:
+def minkowski_sum(sets: Sequence[LatticeSet]) -> WitnessedSum:
     """Sum of lattice sets with a stored witness tuple per result point.
 
     A fold over partial sums: W_1 = S_1 and W_k = W_{k-1} + S_k, keeping
@@ -80,7 +80,7 @@ def minkowski_sum(sets: Sequence[LatticeSet], budget: int | None = None) -> Witn
     """
     sets = tuple(sets)
     dim = _check_sets(sets)
-    check_budget(prod(map(len, sets)), "sum enumeration", "tuples", budget)
+    check_budget(prod(map(len, sets)), "sum enumeration", "tuples")
     witnesses = {p: (p,) for p in sets[0].points}
     for s in sets[1:]:
         grown: dict = {}

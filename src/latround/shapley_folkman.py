@@ -20,19 +20,18 @@ reduction to integrally convex summands:
   exchange-convex bound.
 
 The core never enumerates the sum of its summands for a fractional x.
-It runs at most two stacked LPs, each over all its summands at once
+It runs one stacked LP over all its summands at once
 (``decompose_into_summand_hulls``):
 
-- the first splits x into per-summand hull points y_i.  Its basic
-  solution leaves at most min(n, m) summands (I) on more than one point;
-  every other summand j (J) contributes one lattice point p_j;
+- the LP splits x into per-summand hull points y_i.  Its basic solution
+  leaves at most min(n, m) summands (I) on more than one point; every
+  other summand j (J) contributes one lattice point p_j;
 - each summand i in I is clipped to T_i = S_i ∩ N(y_i), its points in
   the integral neighborhood of y_i.  An integrally convex S_i has y_i in
-  conv(T_i), so x - sum_J p_j lies in the sum of the hulls conv(T_i);
-- for the max norm, the second LP splits x - sum_J p_j over the T_i.
-  Its basic solution again has at most min(n, |I|) fractional shares,
-  and each is cube-rounded inside its unit cube.  The Euclidean norm
-  needs no second LP: it scans the small sum of the clipped summands.
+  conv(T_i), and T_i lies in a translated unit cube;
+- for the max norm, each y_i is cube-rounded to its nearest point of
+  T_i, at most 1 - 1/n away, so z is within |I| (1 - 1/n) <= alpha(n, m)
+  of x.  The Euclidean norm scans the small sum of the T_i instead.
 
 Summands that were not verified (``verify=False``) are checked at each
 share by ``local_restrictions``, one local LP per fractional share, so a
@@ -200,11 +199,6 @@ def decompose_into_summand_hulls(sets: Sequence[LatticeSet], x) -> list:
     rows' artificials.  Bland's rule in the kernel makes the split
     deterministic.  Raises DomainError, carrying this LP's phase-1
     infeasibility gap, when x is outside the hull.
-
-    The rounding core calls this twice: once on the summands, and for
-    the max norm once more on the summands that the first split leaves
-    on more than one point, clipped to the integral neighborhoods of
-    their shares.
     """
     sets = list(sets)
     n = _check_sets(sets)
@@ -283,9 +277,7 @@ def sf_decompose(ts: Sequence[LatticeSet], x, certs: Sequence[ConvexCombination]
     the only column in its convex-weight row, so no null vector moves
     it: only the certificates with more than one point are pivoted,
     over their own rows.  With one summand, |I| <= 1 holds as given, so
-    its certificate is kept unchanged, without a pivot.  Certificates
-    that are already basic, as the rounding core's second stacked split
-    is, come out unchanged after one null-space test.
+    its certificate is kept unchanged, without a pivot.
     """
     x = RationalPoint(x)
     ts = list(ts)
@@ -344,7 +336,8 @@ def cube_round(s: LatticeSet, x, cert: ConvexCombination) -> tuple:
     that x is in conv(s).  The exact scan over s (at most 2^n points)
     returns the lexicographically least minimizer; its distance is
     asserted to be at most 1 - 1/n, which holds for every certified
-    input.
+    input.  The rounding core runs the same scan on each clipped summand
+    of I, whose share it has already certified.
     """
     x = RationalPoint(x)
     n = x.dim
@@ -359,10 +352,17 @@ def cube_round(s: LatticeSet, x, cert: ConvexCombination) -> tuple:
     for p in cert.points():
         if p not in s:
             raise UsageError(f"certificate point {p} is outside the set")
+    return _cube_nearest(s, x)
+
+
+def _cube_nearest(s: LatticeSet, x: RationalPoint) -> tuple:
+    """The lexicographically least max-norm-nearest point of s to x,
+    asserted to be at most 1 - 1/n away (x in conv(s), s in a unit cube)."""
+    # min keeps the first, lexicographically least, of equally near points
     best = min(s.points, key=lambda p: x.linf_distance(RationalPoint(p)))
     best_d = x.linf_distance(RationalPoint(best))
-    limit = Fraction(n - 1, n)
-    if best_d > limit:
+    n = x.dim
+    if best_d > Fraction(n - 1, n):
         raise InternalError(
             f"cube rounding distance {best_d} exceeds 1 - 1/{n}; upstream bug"
         )
@@ -394,26 +394,24 @@ def round_point(
     Each class is thus reduced to a list of integrally convex summands,
     which one core (``_round_ic``) rounds.
 
-    ``norm`` picks the pipeline: "linf" splits x a second time over the
-    clipped summands and cube-rounds the fractional shares of that basic
-    split; "l2" scans the sum of the clipped summands for the nearest
-    point; "best" runs both on one first split and keeps the nearer
-    point in the max norm, which is within min(alpha, beta).  Every norm
-    but ic/l2 needs dimension at least 2.  ``verify=False`` skips the
-    class check of the summands and trusts the caller; the core then
-    certifies each fractional share in its clipped summand with one
-    local LP (``local_restrictions``), so a summand that is not
-    integrally convex there still raises DomainError naming it.  The
-    result is tagged "mnat" or "<cls>-<norm>".
+    ``norm`` picks the pipeline: "linf" cube-rounds each fractional
+    share to its nearest point of its clipped summand; "l2" scans the
+    sum of the clipped summands for the nearest point; "best" runs both
+    on one split and keeps the nearer point in the max norm, which is
+    within min(alpha, beta).  Every norm but ic/l2 needs dimension at
+    least 2.  ``verify=False`` skips the class check of the summands and
+    trusts the caller; the core then certifies each fractional share in
+    its clipped summand with one local LP (``local_restrictions``), so a
+    summand that is not integrally convex there still raises DomainError
+    naming it.  The result is tagged "mnat" or "<cls>-<norm>".
 
     The core splits x over its summands with one stacked LP
-    (``decompose_into_summand_hulls``), and for "linf" and "best" with
-    one more over the clipped summands that the first leaves fractional.
-    It never enumerates their sum for a fractional x, so for "ic" and
-    "lnat" the cost grows with the sum of the summand sizes, not their
-    product.  An integral x is first looked up in the enumerated sum,
-    which keeps the enumeration budget: past it, such a call raises
-    BudgetError; "mnat" enumerates W always.
+    (``decompose_into_summand_hulls``), whatever the norm.  It never
+    enumerates their sum for a fractional x, so for "ic" and "lnat" the
+    cost grows with the sum of the summand sizes, not their product.  An
+    integral x is first looked up in the enumerated sum, which keeps the
+    enumeration budget: past it, such a call raises BudgetError; "mnat"
+    enumerates W always.
     """
     if cls not in _CLASS_LABELS:
         raise UsageError(f"unknown class {cls!r}")
@@ -475,6 +473,9 @@ def _pair_sums(sets: list, verify: bool) -> list:
 def _round_ic(sets: list, x: RationalPoint, norm: str, tag: str, certified: bool) -> RoundingResult:
     """The integrally convex core; W is built only for an integral x.
 
+    One stacked LP splits x; the max norm takes, for each summand of I,
+    the lexicographically least nearest point of its clipped summand to
+    its share, and the summands of J keep their points.
     ``certified`` says that every summand is known to be integrally
     convex, so each share y_i lies in the hull of its clipped summand
     S_i ∩ N(y_i) and the clipping needs no LP.  Otherwise
@@ -497,12 +498,12 @@ def _round_ic(sets: list, x: RationalPoint, norm: str, tag: str, certified: bool
         else:
             local = local_restrictions(sets, [y for y, _ in split])
             clipped = [local[i][0] for i in again]
-        rest = _point_sum([split[i][0] for i in again])  # x less the points of J
         candidates = []
         if norm != "l2":
-            candidates.append(_cube_round_shares(sets, split, again, clipped, x, rest))
+            cubed = [_cube_nearest(t, split[i][0]) for i, t in zip(again, clipped)]
+            candidates.append(_assemble(split, again, cubed))
         if norm != "linf":
-            candidates.append(_nearest_clipped(split, again, clipped, rest))
+            candidates.append(_assemble(split, again, _nearest_clipped(split, again, clipped)))
         # min keeps the first of equally near candidates: linf before l2
         z, parts = min(candidates, key=lambda c: x.linf_distance(RationalPoint(c[0])))
         for i, (s, p) in enumerate(zip(sets, parts)):
@@ -524,42 +525,28 @@ def _round_ic(sets: list, x: RationalPoint, norm: str, tag: str, certified: bool
     return RoundingResult(x, z, tag, bound_linf=bound)
 
 
-def _cube_round_shares(sets, split, again, clipped, x, rest) -> tuple:
-    """Split the rest of x again over the clipped summands of I, with one
-    stacked LP, and cube-round the fractional shares.
-
-    The summands of J keep their points.  The second LP's basic solution
-    leaves at most min(n, |I|) summands fractional, so ``sf_decompose``
-    finds nothing to pivot.  Returns (z, parts): one point per summand,
-    and their sum z.
-    """
-    ts = list(sets)
-    certs = [comb for _, comb in split]
-    for i, t, (_, comb) in zip(again, clipped, decompose_into_summand_hulls(clipped, rest)):
-        ts[i], certs[i] = t, comb
-    dec = sf_decompose(ts, x, certs)
-    frac = dec.fractional
-    parts = [
-        dec.integral[i] if i in dec.integral else cube_round(t, frac[i].target, frac[i])
-        for i, t in enumerate(ts)
-    ]
-    return tuple(map(sum, zip(*parts))), tuple(parts)
-
-
-def _nearest_clipped(split, again, clipped, rest) -> tuple:
-    """Lexicographically least nearest point z of the clipped sum in the
-    Euclidean norm, with its witness as the parts: (z, parts).
+def _nearest_clipped(split, again, clipped) -> tuple:
+    """The points of the clipped summands of I whose sum is nearest, and
+    lexicographically least among the nearest, in the Euclidean norm to
+    the rest of x, their shares' sum.
 
     The summands of J are single points, so the clipped sum is the sum
     over I, at most n summands whatever m is, moved by the points of J;
     its nearest point to x is the nearest point of the sum over I to the
     rest of x, moved by the same points.
     """
+    rest = _point_sum([split[i][0] for i in again])  # x less the points of J
     total = minkowski_sum(clipped)
     # min keeps the first, lexicographically least, of equally near points
     best = min(total.result.points, key=lambda p: rest.l2sq_distance(RationalPoint(p)))
+    return total.witnesses[best]
+
+
+def _assemble(split, again, chosen) -> tuple:
+    """(z, parts): one point per summand, the points of J with ``chosen``
+    put in for the summands of I, and their sum z."""
     parts = [comb.points()[0] for _, comb in split]
-    for i, p in zip(again, total.witnesses[best]):
+    for i, p in zip(again, chosen):
         parts[i] = p
     return tuple(map(sum, zip(*parts))), tuple(parts)
 
@@ -568,10 +555,10 @@ def sf_round_linf(sets: Sequence[LatticeSet], x, verify: bool = True) -> Roundin
     """Round x in conv(W) to z in W with max-norm distance at most
     alpha(n, m); at most min(n, m) - 1 when x is integral.
 
-    Split x over the summand hulls, clip each fractional summand to the
-    integral neighborhood of its share, split the rest of x again over
-    the clipped summands, and cube-round the at most min(n, m)
-    fractional shares of that basic split.  Same as
+    Split x over the summand hulls with one stacked LP, clip each of the
+    at most min(n, m) fractional summands to the integral neighborhood
+    of its share, and cube-round the share to its lexicographically
+    least nearest point there.  Same as
     ``round_point(sets, x, "ic", "linf", verify)``.
     """
     return round_point(sets, x, "ic", "linf", verify)

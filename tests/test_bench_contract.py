@@ -8,7 +8,9 @@ These tests read both files and change nothing under bench/.
 import ast
 import importlib
 import importlib.util
+import json
 import os
+import subprocess
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -64,7 +66,9 @@ def test_tracer_sees_the_layers_under_round_point(hole_pair):
     calls = {k: v for k, (v, unit) in tracer.metrics(0.0).items() if k.endswith(".calls")}
     assert calls["predicates.integral_convexity_witness.calls"] == 2
     assert calls["minkowski.minkowski_sum.calls"] == 2  # the sum and the clipped sum
-    assert calls["pipeline.sf_decompose.calls"] == 1
+    assert calls["pipeline.sf_decompose.calls"] == 0
+    assert calls["pipeline.decompose_into_summand_hulls.calls"] == 1
+    assert calls["kernel.lp_feasible.calls"] == 1
 
 
 def test_traced_counts_read_the_shapes_they_expect(tmp_path, capsys):
@@ -91,3 +95,20 @@ def test_traced_counts_read_the_shapes_they_expect(tmp_path, capsys):
     assert metrics["cli.main.calls"] == 1
     assert metrics["cli.load_set_file.calls"] == 1
     assert metrics["predicates.integral_convexity_witness.calls"] == 1
+
+
+def test_traced_bench_run_is_correct_on_every_workload():
+    # the traced run wraps every LAYERS name, so a name that no longer
+    # resolves, or a wrapped call that breaks, fails here
+    proc = subprocess.run(
+        [sys.executable, "bench/run.py", "--workload", "all", "--seed", "1", "--trace", "1",
+         "--ops", "40"],
+        cwd=BENCH.parent,
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    results = [json.loads(line) for line in proc.stdout.splitlines() if line.startswith("{")]
+    assert len(results) == 3
+    assert all(result["correct"] is True for result in results)

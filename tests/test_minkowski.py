@@ -117,10 +117,11 @@ def test_fold_witnesses_match_product_scan(sets):
     assert w.result.points == tuple(sorted(w.witnesses))
 
 
-def test_budget_error_names_the_bound():
+def test_budget_error_names_the_bound(monkeypatch):
+    monkeypatch.setenv("LATROUND_BUDGET", "100")
     sets = [LatticeSet([(i,) for i in range(10)]) for _ in range(3)]
     with pytest.raises(BudgetError) as err:
-        minkowski_sum(sets, budget=100)
+        minkowski_sum(sets)
     assert err.value.budget == 100
     assert err.value.required == 1000
     assert "100" in str(err.value)

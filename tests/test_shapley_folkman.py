@@ -566,25 +566,22 @@ def _unit_cube_stacks(seed, count):
 
 
 def test_round_runs_one_stacked_lp_per_split(monkeypatch):
-    # certified summands: the first split has n + m rows; linf and best
-    # split once more, over the n + |I| rows of the fractional summands;
-    # l2 needs no second LP.  Trusted summands add one local LP per
-    # fractional share.
+    # certified summands: every norm runs the one split, over n + m rows.
+    # Trusted summands add one local LP per fractional share.
     fractional_seen = set()
     for sets, x in _unit_cube_stacks(71, 30):
         n, m = x.dim, len(sets)
         split = decompose_into_summand_hulls(sets, x)
-        many = sum(len(comb) > 1 for _, comb in split)
         fractional = sum(not y.is_integral() for y, _ in split)
         fractional_seen.add(fractional)
         for s in sets:
             integral_convexity_witness(s)  # fills the midpoint pattern cache
         rows = _count_kernel_lps(monkeypatch)
         sf_round_linf(sets, x)
-        assert rows == [n + m, n + many]
+        assert rows == [n + m]
         rows.clear()
         round_point(sets, x, "ic", "best")
-        assert rows == [n + m, n + many]
+        assert rows == [n + m]
         rows.clear()
         sf_round_l2(sets, x)
         assert rows == [n + m]
@@ -593,9 +590,75 @@ def test_round_runs_one_stacked_lp_per_split(monkeypatch):
         assert len(rows) == 1 + fractional
         rows.clear()
         sf_round_linf(sets, x, verify=False)
-        assert len(rows) == 2 + fractional and rows[-1] == n + many
+        assert len(rows) == 1 + fractional
         monkeypatch.undo()
     assert {1, 2} <= fractional_seen
+
+
+def _cube_rule(sets, x):
+    """z by the proof's rule, from the stacked split alone: the summands
+    with one support point keep it; every other summand gives the
+    lexicographically least point of S_i ∩ N(y_i) nearest to its share
+    y_i in the max norm.  Also returns the number of fractional shares."""
+    parts = []
+    fractional = 0
+    for s, (y, comb) in zip(sets, decompose_into_summand_hulls(sets, x)):
+        fractional += not y.is_integral()
+        if len(comb) == 1:
+            parts.append(comb.points()[0])
+            continue
+        near = [p for p in s.points if all(abs(a - b) < 1 for a, b in zip(p, y))]
+        parts.append(min(sorted(near), key=lambda p: y.linf_distance(RationalPoint(p))))
+    return tuple(map(sum, zip(*parts))), fractional
+
+
+def _grid_stacks(seed, count):
+    """(sets, x): 2 to 7 integrally convex subsets of {0,1,2}^2 or
+    {0,1}^3, and a fractional hull point x of their sum."""
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        n = rng.choice([2, 3])
+        cells = list(product(range(3) if n == 2 else range(2), repeat=n))
+        m = rng.randint(2, 7)
+        sets = []
+        while len(sets) < m:
+            s = LatticeSet(rng.sample(cells, rng.randint(2, 5)))
+            if integral_convexity_witness(s) is None:
+                sets.append(s)
+        x = RationalPoint([0] * n)
+        for s in sets:
+            x = x + _random_hull_point(rng, s)
+        if not x.is_integral():
+            out.append((sets, x))
+    return out
+
+
+def test_round_linf_cube_rounds_the_first_split():
+    # the shares of the one stacked split, each cube-rounded in its clipped
+    # summand, as in the proof: here z is farther than the nearest sum
+    # point (9, 5), but within the bound
+    sets = [
+        LatticeSet(pts)
+        for pts in (
+            [(1, 0), (1, 1), (1, 2), (2, 1), (2, 2)],
+            [(0, 2), (1, 1), (2, 0)],
+            [(0, 1), (1, 0), (1, 1), (2, 0)],
+            [(1, 1), (2, 1), (2, 2)],
+            [(0, 2), (1, 1), (1, 2), (2, 1)],
+            [(0, 2), (1, 1), (1, 2)],
+            [(0, 1), (0, 2), (1, 0), (1, 1)],
+        )
+    ]
+    res = sf_round_linf(sets, (9, Fraction(19, 4)))
+    assert res.z == (8, 5)
+    assert res.distance_linf == 1 == res.bound_linf
+    for sets, x in _grid_stacks(83, 60):
+        z, fractional = _cube_rule(sets, x)
+        for verify in (True, False):
+            res = sf_round_linf(sets, x, verify=verify)
+            assert res.z == z
+            assert res.distance_linf <= fractional * (1 - Fraction(1, x.dim))
 
 
 @pytest.mark.parametrize("norm", ["linf", "l2", "best"])
