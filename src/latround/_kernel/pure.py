@@ -3,15 +3,18 @@
 Apart from the independent oracles, these routines are the package's only
 exact elimination, and this is their only implementation.
 ``lp_feasible`` decides every hull-membership certificate (and so every
-integral-convexity verdict) and the stacked per-summand split of the
-rounding pipelines; ``nullspace_vector`` drives the support reduction of
-``sf_decompose`` and ``caratheodory_reduce`` and the rank tests of
-``hull_facets``; ``solve_square`` has no caller in the package.  Callers
-pass integer rows and read integer results: a solution comes back as
-reduced (num, den) pairs, which the geometry layer keeps as integer
-numerators over one common denominator.  All arithmetic is on Python
-integers, so results are exact at any magnitude, and every eliminated row
-is divided by the gcd of its entries to keep them small.
+integral-convexity verdict), the stacked per-summand split of the
+rounding pipelines and every reduction to a basic solution
+(``sf_decompose``, ``caratheodory_reduce``); ``nullspace_vector`` serves
+only the rank tests of ``hull_facets`` and ``solve_square``, which reads
+its solution off a null vector of [A | -b] and has no caller in the
+package.  One elimination step, ``_eliminate``, does the row operations
+of both ``lp_feasible`` and ``nullspace_vector``.  Callers pass integer
+rows and read integer results: a solution comes back as reduced
+(num, den) pairs, which the geometry layer keeps as integer numerators
+over one common denominator.  All arithmetic is on Python integers, so
+results are exact at any magnitude, and every eliminated row is divided
+by the gcd of its entries to keep them small.
 
 ``lp_feasible`` starts phase 1 from a crash basis: a row i for which some
 column is a positive multiple of the unit vector e_i starts with the first
@@ -34,6 +37,19 @@ def _gcd_reduce(row):
     if g > 1:
         row[:] = [v // g for v in row]
     return row
+
+
+def _eliminate(mat, prow, col):
+    """Clear column ``col`` from every row of the integer matrix ``mat`` but
+    row ``prow``, in place, and divide each changed row and the pivot row
+    by the gcd of its entries."""
+    prow_vals = mat[prow]
+    piv = prow_vals[col]
+    for i, row in enumerate(mat):
+        f = row[col]
+        if f and i != prow:
+            mat[i] = _gcd_reduce([piv * a - f * b for a, b in zip(row, prow_vals)])
+    _gcd_reduce(prow_vals)
 
 
 def lp_feasible(rows, rhs):
@@ -124,22 +140,13 @@ def lp_feasible(rows, rhs):
                 prow, rn, rd = i, bn, t
         # a positive score forces a positive entry in some artificial row
         assert prow >= 0
-        piv = tab[prow][entering]
-        prow_vals = tab[prow]
-        for i in range(m):
-            if i == prow:
-                continue
-            f = tab[i][entering]
-            if f:
-                ti = tab[i]
-                tab[i] = _gcd_reduce([piv * a - f * b for a, b in zip(ti, prow_vals)])
+        _eliminate(tab, prow, entering)
         if art_rows[prow]:
             art_rows[prow] = False
         else:
             basic_cols.discard(basis[prow])
         basis[prow] = entering
         basic_cols.add(entering)
-        _gcd_reduce(tab[prow])
 
     support = []
     for i in range(m):
@@ -191,14 +198,7 @@ def nullspace_vector(rows):
             return v
         if pr != nextrow:
             mat[pr], mat[nextrow] = mat[nextrow], mat[pr]
-        piv = mat[nextrow][c]
-        prow_vals = mat[nextrow]
-        for r in range(m):
-            if r == nextrow:
-                continue
-            f = mat[r][c]
-            if f:
-                mat[r] = _gcd_reduce([piv * a - f * b for a, b in zip(mat[r], prow_vals)])
+        _eliminate(mat, nextrow, c)
         piv_rows.append((nextrow, c))
         nextrow += 1
     return None
@@ -208,34 +208,22 @@ def solve_square(rows, rhs):
     """Solve an n-by-n integer system exactly.
 
     Returns the solution as a list of reduced ``(num, den)`` pairs with
-    positive denominators, or None when the matrix is singular.
+    positive denominators, or None when the matrix is singular.  The
+    solution is read off the null vector of [A | -b]: A is singular
+    exactly when that vector's dependent column is one of A's.
     """
     n = len(rows)
-    mat = [list(r) + [b] for r, b in zip(rows, rhs)]
-    for c in range(n):
-        pr = -1
-        for r in range(c, n):
-            if mat[r][c]:
-                pr = r
-                break
-        if pr < 0:
-            return None
-        if pr != c:
-            mat[pr], mat[c] = mat[c], mat[pr]
-        piv = mat[c][c]
-        prow_vals = mat[c]
-        for r in range(n):
-            if r == c:
-                continue
-            f = mat[r][c]
-            if f:
-                mat[r] = _gcd_reduce([piv * a - f * b for a, b in zip(mat[r], prow_vals)])
+    v = nullspace_vector([list(r) + [-b] for r, b in zip(rows, rhs)])
+    if v is None:
+        return []  # n == 0
+    den = v[n]
+    if den == 0:
+        return None
+    if den < 0:
+        v = [-a for a in v]
+        den = -den
     out = []
-    for c in range(n):
-        num = mat[c][n]
-        den = mat[c][c]
-        if den < 0:
-            num, den = -num, -den
+    for num in v[:n]:
         g = gcd(num, den)
         out.append((num // g, den // g))
     return out

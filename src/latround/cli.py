@@ -45,8 +45,10 @@ def load_set_file(path: str) -> LatticeSet:
             data = json.load(handle)
     except OSError as exc:
         raise UsageError(f"{path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise UsageError(f"{path}: not valid JSON ({exc})") from exc
+    except (ValueError, RecursionError) as exc:
+        # bad JSON, bytes that are not UTF-8, nesting too deep to parse, or
+        # an integer longer than the interpreter's digit limit
+        raise UsageError(f"{path}: not readable JSON ({exc})") from exc
     if not isinstance(data, dict) or "dim" not in data or "points" not in data:
         raise UsageError(f"{path}: expected an object with 'dim' and 'points'")
     dim = data["dim"]
@@ -82,7 +84,10 @@ def parse_query_point(text: str) -> RationalPoint:
                 f"bad coordinate {part!r}: expected an integer or 'p/q' with "
                 "q > 0 (floating point literals are rejected)"
             )
-        coords.append(Fraction(part))
+        try:
+            coords.append(Fraction(part))
+        except ValueError as exc:  # more digits than the interpreter's limit
+            raise UsageError(f"coordinate too long: {exc}") from exc
     return RationalPoint(coords)
 
 
@@ -263,6 +268,13 @@ def main(argv=None) -> int:
     except BudgetError as exc:
         print(f"resource limit: {exc}", file=sys.stderr)
         return 3
+    except ValueError as exc:
+        # an answer or a message holds an integer with more digits than the
+        # interpreter converts to text; its message names that limit
+        if "int_max_str_digits" not in str(exc):
+            raise
+        print(f"error: a number is too long to print: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

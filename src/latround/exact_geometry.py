@@ -1,16 +1,17 @@
 """Exact rational convex geometry.
 
 Hull membership with verified certificates, Caratheodory support
-reduction, nonnegative linear feasibility and hull facets.  Points and
+reduction (a basic solution of the membership LP over the given
+support), nonnegative linear feasibility and hull facets.  Points and
 convex weights are kept as integer numerators over one positive common
 denominator in lowest terms, and all arithmetic on them is integer
 arithmetic; ``fractions.Fraction`` appears only where a value leaves the
 module (coordinates, support weights, distances).  No floating point
 enters any certified path.
 
-This module does no elimination of its own: feasibility, null vectors,
-rank tests and null-space bases all go through the integer kernel
-(``latround._kernel``).
+This module does no elimination of its own: feasibility, basic
+solutions, rank tests and null-space bases all go through the integer
+kernel (``latround._kernel``).
 
 ``_Value`` is the one place that defines the value-type protocol shared
 by the package's value objects (points, convex combinations, lattice
@@ -489,55 +490,12 @@ def hull_membership(points, x) -> Optional[ConvexCombination]:
     return comb
 
 
-def _reduce_support(columns: list, weights: list, den: int):
-    """Pivot weight along exact null directions until the active columns
-    are linearly independent.
-
-    ``columns`` are integer tuples (stacked coordinates), ``weights``
-    positive integers over the common denominator ``den``.  Returns the
-    surviving (column_index, weight) pairs and their new common
-    denominator.  Each round finds an affine dependency and drives at
-    least one weight to zero, so at most len(columns) rounds run.
-    """
-    active = list(range(len(columns)))
-    w = list(weights)
-    height = len(columns[0])
-    while True:
-        rows = [[columns[i][r] for i in active] for r in range(height)]
-        null = _kernel.nullspace_vector(rows)
-        if null is None:
-            return [(i, w[i]) for i in active], den
-        if all(v <= 0 for v in null):
-            null = [-v for v in null]
-        # the step is the least ratio w_i / v_i over v_i > 0, kept as the
-        # integer pair (step_num, step_den)
-        step_num = step_den = 0
-        for i, v in zip(active, null):
-            if v > 0 and (step_den == 0 or w[i] * step_den < step_num * v):
-                step_num, step_den = w[i], v
-        # new weights w - step * v, over den * step_den
-        survivors = []
-        for i, v in zip(active, null):
-            nw = w[i] * step_den - step_num * v
-            if nw < 0:
-                raise InternalError("negative weight during support reduction")
-            if nw > 0:
-                w[i] = nw
-                survivors.append(i)
-        den *= step_den
-        g = gcd(den, *(w[i] for i in survivors))
-        if g != 1:
-            for i in survivors:
-                w[i] //= g
-            den //= g
-        active = survivors
-
-
 def caratheodory_reduce(comb: ConvexCombination, dim: Optional[int] = None) -> ConvexCombination:
     """Shrink a convex combination to at most dim + 1 support points.
 
-    Repeatedly finds an exact affine dependency among the support points
-    and moves weight along it until some weight hits zero.  The target is
+    Returns a basic solution of the membership LP of the target over the
+    support points: that system has dim + 1 rows, so the basic solution
+    has at most dim + 1 points, affinely independent.  The target is
     preserved exactly and the output support is a subset of the input
     support.
     """
@@ -548,12 +506,8 @@ def caratheodory_reduce(comb: ConvexCombination, dim: Optional[int] = None) -> C
         raise UsageError(f"combination lives in dimension {n}, not {dim}")
     if len(comb) <= n + 1:
         return comb
-    points = comb.points()
-    kept, den = _reduce_support([pt + (1,) for pt in points], comb.nums, comb.den)
-    reduced = ConvexCombination.from_numerators(
-        [points[i] for i, _ in kept], [wt for _, wt in kept], den
-    )
-    if reduced.target != comb.target:
+    reduced = _membership_support(comb.points(), comb.target)
+    if reduced is None or reduced.target != comb.target:
         raise InternalError("support reduction moved the target")
     if len(reduced) > n + 1:
         raise InternalError("support reduction left a dependent support")

@@ -44,7 +44,6 @@ an integral x is itself a sum point.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
 from typing import Optional, Sequence
 
 from .bounds import bound_pair
@@ -62,7 +61,6 @@ from .exact_geometry import (
     _membership_lp,
     _membership_support,
     _point_sum,
-    _reduce_support,
     _Value,
 )
 from .minkowski import _check_sets, minkowski_sum
@@ -267,17 +265,18 @@ def _clip(s: LatticeSet, y: RationalPoint) -> LatticeSet:
 
 
 def sf_decompose(ts: Sequence[LatticeSet], x, certs: Sequence[ConvexCombination]) -> SfDecomposition:
-    """Pivot a per-summand hull representation of x down to basic form.
+    """Reduce a per-summand hull representation of x to basic form.
 
     The stacked system has one convex-weight row per summand and one row
-    per coordinate; driving the given feasible weights to a basic
-    solution leaves at most min(n, m) summands with more than one
-    support point.  Those form I (hull points); the rest contribute a
-    single lattice point each and form J.  A one-point certificate is
-    the only column in its convex-weight row, so no null vector moves
-    it: only the certificates with more than one point are pivoted,
-    over their own rows.  With one summand, |I| <= 1 holds as given, so
-    its certificate is kept unchanged, without a pivot.
+    per coordinate; a basic solution of it leaves at most min(n, m)
+    summands with more than one support point.  Those form I (hull
+    points); the rest contribute a single lattice point each and form J.
+    A one-point certificate is the only column in its convex-weight row,
+    so it stays as it is: only the certificates with more than one point
+    are reduced, to a basic solution of the stacked membership LP over
+    their points at the sum of their targets
+    (``decompose_into_summand_hulls``).  With one summand, |I| <= 1 holds
+    as given, so its certificate is kept unchanged, without an LP.
     """
     x = RationalPoint(x)
     ts = list(ts)
@@ -301,31 +300,16 @@ def sf_decompose(ts: Sequence[LatticeSet], x, certs: Sequence[ConvexCombination]
     multi = [i for i, cert in enumerate(certs) if len(cert) > 1]
     if len(certs) == 1 or not multi:
         return SfDecomposition(x, {i: certs[i] for i in multi}, integral)
-    den = lcm(*(certs[i].den for i in multi))
-    columns = []
-    weights = []
-    owners = []
-    for row, i in enumerate(multi):
-        cert = certs[i]
-        marker = (0,) * row + (1,) + (0,) * (len(multi) - row - 1)
-        scale = den // cert.den
-        for p, wt in zip(cert.points(), cert.nums):
-            columns.append(marker + p)
-            weights.append(wt * scale)
-            owners.append((i, p))
-    kept, den = _reduce_support(columns, weights, den)
-    per_set: dict = {i: [] for i in multi}
-    for idx, wt in kept:
-        i, p = owners[idx]
-        per_set[i].append((p, wt))
+    split = decompose_into_summand_hulls(
+        [LatticeSet(certs[i].points()) for i in multi],
+        _point_sum([certs[i].target for i in multi]),
+    )
     fractional = {}
-    for i, sup in per_set.items():
-        if len(sup) == 1 and sup[0][1] == den:
-            integral[i] = sup[0][0]
+    for i, (_, part) in zip(multi, split):
+        if len(part) == 1:
+            integral[i] = part.points()[0]
         else:
-            fractional[i] = ConvexCombination.from_numerators(
-                [p for p, _ in sup], [wt for _, wt in sup], den
-            )
+            fractional[i] = part
     return SfDecomposition(x, fractional, integral)
 
 

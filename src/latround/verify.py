@@ -29,13 +29,7 @@ from .oracle import (
     oracle_membership,
     oracle_nearest,
 )
-from .shapley_folkman import (
-    decompose_into_summand_hulls,
-    local_restrictions,
-    sf_decompose,
-    sf_round_l2,
-    sf_round_linf,
-)
+from .shapley_folkman import decompose_into_summand_hulls, sf_round_l2, sf_round_linf
 
 __all__ = [
     "InvariantReport",
@@ -190,11 +184,11 @@ def run_rounding_suite(seed: int = 42, instances: int = 200) -> list:
             pipeline_in_sum.ok()
         else:
             pipeline_in_sum.fail(tag)
-        ys = decompose_into_summand_hulls(sets, x)
-        locals_ = local_restrictions(sets, [y for y, _ in ys])
-        dec = sf_decompose([t for t, _ in locals_], x, [c for _, c in locals_])
-        i_set, _ = dec.index_sets
-        if len(i_set) <= min(n, m):
+        # the one stacked split that both pipelines round from
+        split = decompose_into_summand_hulls(sets, x)
+        fractional = sum(len(comb) > 1 for _, comb in split)
+        rebuilt = tuple(map(sum, zip(*(y.coords for y, _ in split))))
+        if fractional <= min(n, m) and rebuilt == x.coords:
             decomp.ok()
         else:
             decomp.fail(tag)

@@ -2,8 +2,11 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import latround
 from latround import UsageError
@@ -287,3 +290,175 @@ def test_one_parser_serves_a_sequence_of_calls(hole_files, capsys):
         in_process.append((code, out.out, out.err))
     assert [code for code, _, _ in in_process] == [0, 0, 2, 0]
     assert in_process == [_run_alone(argv) for argv in sequence]
+
+
+# ------------------------------------------- inputs that used to end in a raw exception
+
+NINES = "9" * 4300  # the longest integer the interpreter converts by default
+NINES_FILE = b'{"dim": 1, "points": [[' + NINES.encode() + b"]]}"
+
+
+def write_bytes(tmp_path, name, data):
+    path = tmp_path / name
+    path.write_bytes(data)
+    return str(path)
+
+
+@pytest.mark.parametrize(
+    "data",
+    [
+        b'{"dim": 1, "points": [[\xff]]}',  # not UTF-8
+        b"[" * 100_000 + b"]" * 100_000,  # nested too deep to parse
+        NINES_FILE.replace(b"[[", b"[[9"),  # past the digit limit
+    ],
+    ids=["not-utf8", "deep-nesting", "long-integer"],
+)
+def test_unreadable_set_file_is_a_usage_error(tmp_path, capsys, data):
+    path = write_bytes(tmp_path, "bad.json", data)
+    with pytest.raises(UsageError):
+        latround.cli.load_set_file(path)
+    assert main(["check", path, "--class", "ic"]) == 2
+    assert "not readable JSON" in capsys.readouterr().err
+
+
+def test_round_long_coordinate_is_a_usage_error(hole_files, capsys):
+    with pytest.raises(UsageError):
+        latround.cli.parse_query_point("9" * 4301 + ",1")
+    assert main(["round", *hole_files, "--x", "9" * 4301 + ",1"]) == 2
+    assert "coordinate too long" in capsys.readouterr().err
+
+
+def test_sum_past_the_digit_limit_names_the_limit(tmp_path, capsys):
+    # each file is valid; their sum has a coordinate of 4301 digits
+    path = write_bytes(tmp_path, "s.json", NINES_FILE)
+    assert main(["sum", path, path]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "too long to print" in captured.err and "4300 digits" in captured.err
+
+
+# ---------------------------------------------------------- fuzzed command lines
+
+
+class _Digits(str):
+    """The text of an integer too long for ``json.dumps`` to write."""
+
+
+def _dump(value) -> str:
+    """JSON text of ``value``; a ``_Digits`` is written as its digits."""
+    if isinstance(value, _Digits):
+        return str(value)
+    if isinstance(value, list):
+        return "[" + ",".join(map(_dump, value)) + "]"
+    if isinstance(value, dict):
+        return "{" + ",".join(f"{json.dumps(k)}:{_dump(v)}" for k, v in value.items()) + "}"
+    return json.dumps(value)
+
+
+_BIG = st.sampled_from([10**400, -(10**400), int(NINES), -int(NINES), _Digits("9" * 4301)])
+_ODD = st.one_of(
+    st.booleans(),
+    st.floats(allow_infinity=False),
+    st.text(max_size=2),
+    st.none(),
+    st.lists(st.integers(0, 1), max_size=2),
+    st.integers(-1, 2),
+)
+_BAD_BYTES = [b"\xff\xfe{", b'{"dim": 1, "points": [[\xc3]]}', b"[" * 100_000 + b"]" * 100_000, b"{]"]
+
+
+@st.composite
+def _set_file(draw, n):
+    """(bytes of a set file of dimension n, its points or None).
+
+    Mostly a well-formed set of unit-cube points, so that many are
+    integrally convex, some with a huge coordinate; else a set with one
+    flaw (an integer past the interpreter's digit limit, a ragged
+    or non-integer point, a wrong JSON type, a missing key), any JSON
+    value, deep nesting or bytes that are not UTF-8.  The points are
+    given for a set that loads.
+    """
+    kind = draw(st.sampled_from(["set"] * 10 + ["bytes", "json"]))
+    if kind == "bytes":
+        return draw(st.sampled_from(_BAD_BYTES)), None
+    if kind == "json":
+        leaf = st.one_of(st.none(), st.booleans(), st.integers(), st.floats(), st.text(max_size=3))
+        value = st.recursive(
+            leaf,
+            lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+            max_leaves=8,
+        )
+        return json.dumps(draw(value)).encode(), None
+    coord = st.sampled_from([0, 1, 0, 1, 0, 1, 2, -1])
+    points = draw(st.lists(st.lists(coord, min_size=n, max_size=n), min_size=1, max_size=4))
+    obj = {"dim": n, "points": points}
+    flaw = draw(st.sampled_from([None] * 6 + ["big", "odd", "type", "key"]))
+    if flaw == "big":
+        big = draw(_BIG)
+        points[draw(st.integers(0, len(points) - 1))][draw(st.integers(0, n - 1))] = big
+        if not isinstance(big, _Digits):
+            flaw = None  # a huge integer that loads
+    elif flaw == "odd":
+        points.append(draw(st.lists(_ODD, max_size=4)))
+    elif flaw == "type":
+        obj[draw(st.sampled_from(["dim", "points"]))] = draw(st.sampled_from([0, -1, True, 2.0, "2", None, {}]))
+    elif flaw == "key":
+        del obj[draw(st.sampled_from(["dim", "points"]))]
+    return _dump(obj).encode(), None if flaw else points
+
+
+@st.composite
+def _query(draw, n, sets):
+    """A --x value: the sum of the sets' centroids (a hull point of their
+    sum), n grid coordinates, or a malformed, huge or mis-sized one."""
+    kind = draw(st.sampled_from(["centre", "centre", "grid", "odd"]))
+    if kind == "centre" and all(sets):
+        centroids = [[Fraction(sum(c), len(pts)) for c in zip(*pts)] for pts in sets]
+        return ",".join(str(sum(c)) for c in zip(*centroids))
+    if kind == "odd":
+        odd = draw(st.sampled_from(["1/2", "0.5", "x", "", "1/0", NINES, "9" * 4301, str(10**400)]))
+        return ",".join([odd] * draw(st.integers(1, 3)))
+    return ",".join(draw(st.lists(st.sampled_from(["1/2", "1", "0", "1/3", "3/2", "-1"]), min_size=n, max_size=n)))
+
+
+@st.composite
+def _command_line(draw):
+    """(command, set files, options) for check, sum or round."""
+    command = draw(st.sampled_from(["check", "sum", "round"]))
+    n = draw(st.integers(1, 3))
+    drawn = draw(st.lists(_set_file(n), min_size=1, max_size=2))
+    files = [data for data, _ in drawn]
+    if command == "check":
+        options = ["--class", draw(st.sampled_from(["ic", "mnat", "lnat", "holefree"]))]
+    elif command == "sum":
+        options = draw(st.sampled_from([[], ["--holes"]]))
+    else:
+        options = [
+            f"--x={draw(_query(n, [points for _, points in drawn]))}",
+            "--class",
+            draw(st.sampled_from(["ic", "mnat", "lnat"])),
+            "--norm",
+            draw(st.sampled_from(["linf", "l2", "best"])),
+        ] + draw(st.sampled_from([[], ["--trust"]]))
+    return command, files, options
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(_command_line())
+# the five inputs that once ended in a raw exception
+@example(("check", [_BAD_BYTES[1]], ["--class", "ic"]))
+@example(("check", [_BAD_BYTES[2]], ["--class", "ic"]))
+@example(("sum", [NINES_FILE.replace(b"[[", b"[[9")], []))
+@example(("round", [NINES_FILE], [f"--x={NINES}9"]))
+@example(("sum", [NINES_FILE] * 2, []))
+def test_no_command_line_ends_in_a_raw_exception(tmp_path_factory, case):
+    # every outcome is an exit code of 0 to 3; nothing but SystemExit (from
+    # argparse) leaves main
+    command, files, options = case
+    folder = tmp_path_factory.mktemp("fuzz")
+    paths = [write_bytes(folder, f"s{i}.json", data) for i, data in enumerate(files)]
+    try:
+        code = main([command, *paths, *options])
+    except SystemExit as exc:
+        code = exc.code
+    assert code in (0, 1, 2, 3)

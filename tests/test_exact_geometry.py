@@ -162,6 +162,26 @@ def test_caratheodory_random_combinations():
         assert set(red.points()) <= set(comb.points())
 
 
+def test_caratheodory_is_the_basic_membership_solution():
+    # more than n + 1 points: the reduction is the membership LP's basic
+    # solution over the support, so its points are affinely independent
+    from latround.exact_geometry import _membership_support
+
+    rng = random.Random(1717)
+    seen = 0
+    while seen < 80:
+        n = rng.randint(1, 3)
+        pts = sorted({tuple(rng.randint(-3, 3) for _ in range(n)) for _ in range(rng.randint(2, 10))})
+        if len(pts) <= n + 1:
+            continue
+        raw = [rng.randint(1, 6) for _ in pts]
+        comb = ConvexCombination([(p, Fraction(w, sum(raw))) for p, w in zip(pts, raw)])
+        red = caratheodory_reduce(comb)
+        assert red == _membership_support(comb.points(), comb.target)
+        assert _affinely_independent(red.points())
+        seen += 1
+
+
 def test_membership_matches_oracle_seeded():
     rng = random.Random(1234)
     for _ in range(120):

@@ -69,6 +69,33 @@ def test_solve_square_singular(kern):
     assert kern.solve_square([[1, 1], [2, 2]], [1, 2]) is None
 
 
+def test_solve_square_matches_the_oracle_seeded(kern):
+    # the oracle's Fraction elimination, as reduced (num, den) pairs with
+    # positive denominators; singular systems, zero and negative pivots
+    # included
+    from latround.oracle import _solve_unique
+
+    assert kern.solve_square([], []) == []
+    rng = random.Random(5150)
+    singular = 0
+    for _ in range(400):
+        n = rng.randint(1, 4)
+        rows = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)]
+        if rng.random() < 0.2:
+            # force a dependent row
+            rows[-1] = [2 * a - b for a, b in zip(rows[0], rows[-2 if n > 1 else 0])]
+        rhs = [rng.randint(-5, 5) for _ in range(n)]
+        got = kern.solve_square(rows, rhs)
+        want = _solve_unique(rows, rhs)
+        if want is None:
+            singular += 1
+            assert got is None
+        else:
+            assert got == [(q.numerator, q.denominator) for q in want]
+            assert all(den > 0 for _, den in got)
+    assert singular >= 40
+
+
 def test_lp_solution_satisfies_system(kern):
     rng = random.Random(20240817)
     feasible_seen = 0

@@ -14,6 +14,7 @@ from latround import (
     RationalPoint,
     UsageError,
     bound_pair,
+    caratheodory_reduce,
     cube_round,
     decompose_into_summand_hulls,
     hull_membership,
@@ -264,10 +265,8 @@ def test_sf_decompose_rejects_foreign_points():
 
 def test_sf_decompose_one_summand_keeps_its_certificate(monkeypatch):
     # with one summand the local certificate is already basic, so the
-    # decomposition reuses it without a pivot (no null-space call); the
-    # pivot it skips is shown to be a no-op on the same certificates
+    # decomposition reuses it without a pivot (no null-space call)
     import latround._kernel as kernel
-    from latround.exact_geometry import _reduce_support
 
     rng = random.Random(61)
     seen = {True: 0, False: 0}
@@ -276,11 +275,6 @@ def test_sf_decompose_one_summand_keeps_its_certificate(monkeypatch):
         w = minkowski_sum([_random_mnat_set(rng, n) for _ in range(rng.randint(1, 3))]).result
         x = _random_hull_point(rng, w)
         ((t, cert),) = local_restrictions([w], [x])
-        columns = [(1,) + p for p in cert.points()]
-        assert _reduce_support(columns, cert.nums, cert.den) == (
-            list(enumerate(cert.nums)),
-            cert.den,
-        )
         calls = []
         original = kernel.nullspace_vector
         monkeypatch.setattr(kernel, "nullspace_vector", lambda rows: calls.append(rows) or original(rows))
@@ -296,42 +290,43 @@ def test_sf_decompose_one_summand_keeps_its_certificate(monkeypatch):
 
 
 def _full_reduction(ts, x, certs):
-    """The reference sf_decompose: one pivot over all m convex-weight
-    rows, one-point certificates included."""
-    from math import lcm
-
-    from latround.exact_geometry import _reduce_support
+    """The reference sf_decompose: the stacked membership LP over every
+    summand's certificate points, one-point certificates included."""
     from latround.shapley_folkman import SfDecomposition
 
     x = RationalPoint(x)
-    m = len(certs)
-    if m == 1:
+    if len(certs) == 1:
         (cert,) = certs
         if len(cert) == 1:
             return SfDecomposition(x, {}, {0: cert.points()[0]})
         return SfDecomposition(x, {0: cert}, {})
-    den = lcm(*(cert.den for cert in certs))
-    columns, weights, owners = [], [], []
-    for i, cert in enumerate(certs):
-        marker = (0,) * i + (1,) + (0,) * (m - i - 1)
-        for p, wt in zip(cert.points(), cert.nums):
-            columns.append(marker + p)
-            weights.append(wt * (den // cert.den))
-            owners.append((i, p))
-    kept, den = _reduce_support(columns, weights, den)
-    per_set = [[] for _ in range(m)]
-    for idx, wt in kept:
-        i, p = owners[idx]
-        per_set[i].append((p, wt))
-    fractional, integral = {}, {}
-    for i, sup in enumerate(per_set):
-        if len(sup) == 1 and sup[0][1] == den:
-            integral[i] = sup[0][0]
-        else:
-            fractional[i] = ConvexCombination.from_numerators(
-                [p for p, _ in sup], [wt for _, wt in sup], den
-            )
+    split = decompose_into_summand_hulls([LatticeSet(c.points()) for c in certs], x)
+    fractional = {i: part for i, (_, part) in enumerate(split) if len(part) > 1}
+    integral = {i: part.points()[0] for i, (_, part) in enumerate(split) if len(part) == 1}
     return SfDecomposition(x, fractional, integral)
+
+
+def _assert_basic(dec):
+    """The columns (marker + p) of the fractional summands' points are
+    independent: the stacked system over them, with right-hand side the
+    ones and x less the points of J, has their weights as its one
+    solution."""
+    from latround.oracle import _solve_unique
+
+    fractional = sorted(dec.fractional.items())
+    if not fractional:
+        return
+    k = len(fractional)
+    columns, weights = [], []
+    for row, (_, comb) in enumerate(fractional):
+        for p, wt in comb.support:
+            columns.append((0,) * row + (1,) + (0,) * (k - row - 1) + p)
+            weights.append(wt)
+    rest = dec.x.coords
+    for z in dec.integral.values():
+        rest = tuple(a - b for a, b in zip(rest, z))
+    rows = [list(r) for r in zip(*columns)]
+    assert _solve_unique(rows, [1] * k + list(rest)) == weights
 
 
 def _certified_stacks():
@@ -356,8 +351,9 @@ def _certified_stacks():
 @settings(derandomize=True, max_examples=150, deadline=None)
 @given(_certified_stacks())
 def test_sf_decompose_matches_the_full_reduction(stack):
-    # pivoting only the certificates with more than one point gives the
-    # decomposition that the pivot over every convex-weight row gives
+    # the stacked LP over only the certificates with more than one point
+    # gives the decomposition that the LP over every summand's
+    # certificate gives, and it is basic
     ts = [t for t, _ in stack]
     certs = [c for _, c in stack]
     x = RationalPoint([0] * ts[0].dim)
@@ -367,6 +363,50 @@ def test_sf_decompose_matches_the_full_reduction(stack):
     ref = _full_reduction(ts, x, certs)
     assert dec == ref
     assert dec.fractional == ref.fractional and dec.integral == ref.integral
+    if len(certs) > 1:
+        _assert_basic(dec)
+
+
+def _seeded_multi_stacks(seed, count):
+    """(ts, x, certs): 2 to 5 summands of points of {0,1,2}^n, n = 2 or 3,
+    at least two of them with a certificate of more than one point."""
+    rng = random.Random(seed)
+    while count:
+        n = rng.choice([2, 3])
+        ts, certs = [], []
+        for _ in range(rng.randint(2, 5)):
+            pts = sorted({tuple(rng.randint(0, 2) for _ in range(n)) for _ in range(rng.randint(1, 6))})
+            raw = [rng.randint(1, 5) for _ in pts]
+            certs.append(ConvexCombination([(p, Fraction(r, sum(raw))) for p, r in zip(pts, raw)]))
+            ts.append(LatticeSet(pts))
+        if sum(len(c) > 1 for c in certs) < 2:
+            continue
+        x = RationalPoint([0] * n)
+        for c in certs:
+            x = x + c.target
+        yield ts, x, certs
+        count -= 1
+
+
+def test_basic_forms_run_no_null_space_pivot(monkeypatch):
+    # sf_decompose and caratheodory_reduce reach a basic solution through
+    # the stacked membership LP, not by null-space pivoting
+    import latround._kernel as kernel
+
+    calls = []
+    original = kernel.nullspace_vector
+    monkeypatch.setattr(kernel, "nullspace_vector", lambda rows: calls.append(rows) or original(rows))
+    reduced = 0
+    for ts, x, certs in _seeded_multi_stacks(83, 40):
+        dec = sf_decompose(ts, x, certs)
+        assert len(dec.fractional) <= min(x.dim, len(certs))
+        _assert_basic(dec)
+        big = max(certs, key=len)
+        if len(big) > x.dim + 1:
+            assert len(caratheodory_reduce(big)) <= x.dim + 1
+            reduced += 1
+    assert calls == []
+    assert reduced >= 10
 
 
 # --------------------------------------------------------------- cube_round
